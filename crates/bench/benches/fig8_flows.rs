@@ -6,7 +6,6 @@
 
 use eee::{run_derived_single, run_derived_with_ops, run_micro_single, ExperimentConfig, Op};
 use sctc_bench::timing::{samples, Bench};
-use sctc_core::EngineKind;
 use sctc_cpu::IsaKind;
 
 fn config(cases: u64, bound: Option<u64>) -> ExperimentConfig {
@@ -15,7 +14,6 @@ fn config(cases: u64, bound: Option<u64>) -> ExperimentConfig {
         cases,
         bound,
         fault_percent: 10,
-        engine: EngineKind::Table,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! repro [--fig7] [--fig8] [--speedup] [--tb-sweep] [--campaign] [--faults]
-//!       [--smc] [--monitor-bench] [--witness-demo] [--serve-bench]
+//!       [--smc] [--witness-demo] [--serve-bench]
 //!       [--telemetry-bench] [--all]
 //!       [--jobs N] [--micro-cases N] [--derived-cases N] [--seed S]
 //!       [--budget SECS] [--json PATH|--json=false] [--faults-json PATH]
-//!       [--smc-json PATH] [--server-json PATH] [--monitor-json PATH]
+//!       [--smc-json PATH] [--server-json PATH]
 //!       [--obs-json PATH] [--telemetry-json PATH] [--trace-json PATH]
-//!       [--vcd PATH] [--profile] [--guard-ratio R]
+//!       [--vcd PATH] [--profile]
 //! ```
 //!
 //! With no table flags, `--all` is assumed. Numbers are scaled-down local
@@ -24,13 +24,7 @@
 //! failure rate), enforces that serial and parallel report fingerprints
 //! are identical *and* that the sequential test undercuts the
 //! fixed-sample Chernoff budget, and writes `BENCH_smc.json`.
-//! `--monitor-bench` runs every
-//! campaign family under all four monitoring engines (naive, table,
-//! lazy, compiled) with alternating-order min-of-4 timing, enforces that
-//! their result fingerprints are identical, optionally enforces a
-//! compiled-vs-table wall-clock ratio on the fig8 derived rows
-//! (`--guard-ratio 1.10` fails the run if compiled is >10% slower), and
-//! writes `BENCH_monitoring.json`. `--witness-demo` runs the torn-write
+//! `--witness-demo` runs the torn-write
 //! power-loss scenario with the diagnosis layer on under both flows,
 //! prints the counterexample witnesses, validates the VCD round-trip and
 //! the witness replay, measures the span profiler's overhead, and writes
@@ -50,11 +44,10 @@
 use std::time::Duration;
 
 use sctc_bench::{
-    campaign_bench, decode_bench, faults_bench, fig7, fig8, monitor_bench, obs_bench,
-    render_campaign_bench_json, render_chrome_trace,
-    render_faults_bench_json, render_monitoring_bench_json, render_obs_json,
-    render_server_bench_json, render_smc_bench_json, render_telemetry_json, secs, serve_bench,
-    smc_bench, speedup, tb_sweep, telemetry_bench, witness_demo, Scale,
+    campaign_bench, faults_bench, fig7, fig8, obs_bench, render_campaign_bench_json,
+    render_chrome_trace, render_faults_bench_json, render_obs_json, render_server_bench_json,
+    render_smc_bench_json, render_telemetry_json, secs, serve_bench, smc_bench, speedup, tb_sweep,
+    telemetry_bench, witness_demo, Scale,
 };
 use sctc_campaign::resolve_jobs;
 
@@ -66,7 +59,6 @@ struct Args {
     campaign: bool,
     faults: bool,
     smc: bool,
-    monitor: bool,
     witness: bool,
     serve: bool,
     telemetry: bool,
@@ -76,15 +68,10 @@ struct Args {
     faults_json_path: String,
     smc_json_path: String,
     server_json_path: String,
-    monitor_json_path: String,
     obs_json_path: String,
     telemetry_json_path: String,
     trace_json_path: String,
     vcd_path: Option<String>,
-    /// `--guard-ratio R`: fail `--monitor-bench` if the compiled engine's
-    /// wall exceeds `R ×` the table engine's wall summed over the fig8
-    /// derived rows.
-    guard_ratio: Option<f64>,
     scale: Scale,
 }
 
@@ -97,7 +84,6 @@ fn parse_args() -> Args {
         campaign: false,
         faults: false,
         smc: false,
-        monitor: false,
         witness: false,
         serve: false,
         telemetry: false,
@@ -107,12 +93,10 @@ fn parse_args() -> Args {
         faults_json_path: "BENCH_faults.json".to_owned(),
         smc_json_path: "BENCH_smc.json".to_owned(),
         server_json_path: "BENCH_server.json".to_owned(),
-        monitor_json_path: "BENCH_monitoring.json".to_owned(),
         obs_json_path: "BENCH_obs.json".to_owned(),
         telemetry_json_path: "BENCH_telemetry.json".to_owned(),
         trace_json_path: "trace.json".to_owned(),
         vcd_path: None,
-        guard_ratio: None,
         scale: Scale::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -130,7 +114,6 @@ fn parse_args() -> Args {
             "--campaign" => args.campaign = true,
             "--faults" => args.faults = true,
             "--smc" => args.smc = true,
-            "--monitor-bench" => args.monitor = true,
             "--witness-demo" => args.witness = true,
             "--serve-bench" => args.serve = true,
             "--telemetry-bench" => args.telemetry = true,
@@ -143,7 +126,6 @@ fn parse_args() -> Args {
                 args.campaign = true;
                 args.faults = true;
                 args.smc = true;
-                args.monitor = true;
                 args.witness = true;
                 args.serve = true;
                 args.telemetry = true;
@@ -153,13 +135,6 @@ fn parse_args() -> Args {
             "--derived-cases" => args.scale.derived_cases = next_u64("--derived-cases"),
             "--seed" => args.scale.seed = next_u64("--seed"),
             "--budget" => args.scale.checker_budget = Duration::from_secs(next_u64("--budget")),
-            "--guard-ratio" => {
-                let v = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--guard-ratio expects a number like 1.10");
-                args.guard_ratio = Some(v);
-            }
             "--json=false" => args.write_json = false,
             "--json=true" => args.write_json = true,
             "--json" => {
@@ -173,9 +148,6 @@ fn parse_args() -> Args {
             }
             "--server-json" => {
                 args.server_json_path = it.next().expect("--server-json expects a path");
-            }
-            "--monitor-json" => {
-                args.monitor_json_path = it.next().expect("--monitor-json expects a path");
             }
             "--obs-json" => {
                 args.obs_json_path = it.next().expect("--obs-json expects a path");
@@ -192,11 +164,11 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "repro [--fig7] [--fig8] [--speedup] [--tb-sweep] [--campaign] [--faults]\n      \
-                     [--smc] [--monitor-bench] [--witness-demo] [--serve-bench]\n      \
+                     [--smc] [--witness-demo] [--serve-bench]\n      \
                      [--telemetry-bench] [--all] [--jobs N]\n      \
                      [--micro-cases N] [--derived-cases N] [--seed S] [--budget SECS]\n      \
                      [--json PATH|--json=false] [--faults-json PATH] [--smc-json PATH]\n      \
-                     [--server-json PATH] [--monitor-json PATH] [--obs-json PATH]\n      \
+                     [--server-json PATH] [--obs-json PATH]\n      \
                      [--telemetry-json PATH] [--trace-json PATH]\n      \
                      [--vcd PATH] [--profile]"
                 );
@@ -215,7 +187,6 @@ fn parse_args() -> Args {
         || args.campaign
         || args.faults
         || args.smc
-        || args.monitor
         || args.witness
         || args.serve
         || args.telemetry)
@@ -227,7 +198,6 @@ fn parse_args() -> Args {
         args.campaign = true;
         args.faults = true;
         args.smc = true;
-        args.monitor = true;
         args.witness = true;
         args.serve = true;
         args.telemetry = true;
@@ -562,128 +532,6 @@ fn main() {
             match std::fs::write(&args.smc_json_path, &doc) {
                 Ok(()) => println!("wrote {}", args.smc_json_path),
                 Err(e) => eprintln!("could not write {}: {e}", args.smc_json_path),
-            }
-        }
-    }
-
-    if args.monitor {
-        println!("== Monitoring engines: naive vs table vs lazy vs compiled ==");
-        let rows = monitor_bench(args.scale);
-        println!(
-            "{:<18} {:<9} {:<8} {:>8} {:>12} {:>6} {:>12} {:>9} {:>9} {:>9} {:>9} {:>6} {:>6}",
-            "campaign",
-            "config",
-            "flow",
-            "cases",
-            "atoms eval",
-            "eval%",
-            "compressed",
-            "naive(s)",
-            "table(s)",
-            "lazy(s)",
-            "compl(s)",
-            "c/t",
-            "equal"
-        );
-        let mut diverged = false;
-        let mut guard_broken = false;
-        for row in &rows {
-            let pct = if row.driven.atoms_total == 0 {
-                0.0
-            } else {
-                100.0 * row.driven.atoms_evaluated as f64 / row.driven.atoms_total as f64
-            };
-            let ratio = row.compiled_wall.as_secs_f64() / row.driven_wall.as_secs_f64().max(1e-9);
-            println!(
-                "{:<18} {:<9} {:<8} {:>8} {:>12} {:>5.1}% {:>12} {:>9} {:>9} {:>9} {:>9} {:>6.2} {:>6}",
-                row.campaign,
-                row.config,
-                row.flow,
-                row.cases,
-                row.driven.atoms_evaluated,
-                pct,
-                row.driven.steps_compressed,
-                secs(row.naive_wall),
-                secs(row.driven_wall),
-                secs(row.lazy_wall),
-                secs(row.compiled_wall),
-                ratio,
-                row.fingerprints_equal
-            );
-            if !row.fingerprints_equal {
-                eprintln!(
-                    "FAIL: {} {} ({}) — monitoring engines diverge",
-                    row.campaign, row.config, row.flow
-                );
-                diverged = true;
-            }
-        }
-        // The perf guard bites on the fig8 derived rows only: they are
-        // long enough to time reliably, and the compiled tier's whole
-        // reason to exist is beating the table engine there. Summing the
-        // rows' min-of-4 walls before taking the ratio halves the
-        // relative noise of a single ±ms-scale row.
-        if let Some(max_ratio) = args.guard_ratio {
-            let (compiled, table) = rows
-                .iter()
-                .filter(|r| r.campaign == "fig8" && r.flow == "derived")
-                .fold((0.0, 0.0), |(c, t), r| {
-                    (
-                        c + r.compiled_wall.as_secs_f64(),
-                        t + r.driven_wall.as_secs_f64(),
-                    )
-                });
-            let ratio = compiled / table.max(1e-9);
-            if ratio > max_ratio {
-                eprintln!(
-                    "FAIL: fig8 derived — compiled/table wall ratio {ratio:.3} \
-                     (summed over rows) exceeds the --guard-ratio {max_ratio:.3}"
-                );
-                guard_broken = true;
-            } else {
-                println!(
-                    "perf guard: compiled/table = {ratio:.3} on fig8 derived \
-                     (limit {max_ratio:.3})"
-                );
-            }
-        }
-        println!("\n-- instruction decode: table vs legacy on the clocked SoC --");
-        let (decode_rows, decode_equal) = decode_bench();
-        println!(
-            "{:<14} {:<7} {:<7} {:>10} {:>12} {:>9} {:>14}",
-            "variant", "isa", "legacy", "text(B)", "cycles", "wall(s)", "cycles/s"
-        );
-        for row in &decode_rows {
-            println!(
-                "{:<14} {:<7} {:<7} {:>10} {:>12} {:>9} {:>14.0}",
-                row.variant,
-                row.isa,
-                row.legacy_decode,
-                row.text_bytes,
-                row.cycles,
-                secs(row.wall),
-                row.cycles_per_sec
-            );
-        }
-        if !decode_equal {
-            eprintln!("FAIL: decode bench — encoding/decoder variants serve different values");
-            diverged = true;
-        }
-        // Engine equivalence is the pipeline's hard contract: refuse to
-        // publish benchmark numbers from diverging engines. The perf
-        // guard is a softer contract enforced only when CI asks for it.
-        if diverged || guard_broken {
-            std::process::exit(1);
-        }
-        println!(
-            "(all result fingerprints identical across the four engines; walls\n\
-             are min-of-4 with alternating engine order; c/t is compiled/table)"
-        );
-        if args.write_json {
-            let doc = render_monitoring_bench_json(&rows, &decode_rows, decode_equal);
-            match std::fs::write(&args.monitor_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.monitor_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.monitor_json_path),
             }
         }
     }

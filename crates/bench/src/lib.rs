@@ -32,9 +32,8 @@ use checkers::predabs::{self, PredAbsConfig, PredAbsOutcome};
 use eee::{build_ir, ExperimentConfig, Op};
 use faults::{run_fault_campaign, FaultCampaignReport, FaultCampaignSpec};
 use sctc_campaign::{resolve_jobs, run_campaign, CampaignReport, CampaignSpec, FlowKind};
-use sctc_core::{EngineKind, MonitorCounters};
 use sctc_cpu::IsaKind;
-use sctc_temporal::{ArAutomaton, CacheStats, SynthesisCache, SynthesisStats};
+use sctc_temporal::{ArAutomaton, SynthesisStats};
 
 /// Scale factors for a local run.
 #[derive(Copy, Clone, Debug)]
@@ -264,7 +263,6 @@ pub fn run_one_property(
         cases,
         bound,
         fault_percent: 10,
-        engine: EngineKind::Table,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,
@@ -845,453 +843,6 @@ pub fn render_smc_bench_json(rows: &[SmcBenchRow]) -> String {
     w.finish()
 }
 
-/// One row of `BENCH_monitoring.json`: one campaign configuration run
-/// under all four monitoring engines (change-driven `Table`, `Naive`
-/// re-evaluation, memoized `Lazy` progression, and the `Compiled` kernel
-/// tier), with per-engine work counters, per-engine min-of-4 walls, and
-/// the four-way result-fingerprint comparison.
-#[derive(Clone, Debug)]
-pub struct MonitorBenchRow {
-    /// Campaign family (`"fig8"`, `"tb-sweep"`, `"bounded-response"`,
-    /// `"faults"`).
-    pub campaign: String,
-    /// Configuration label (`"TB-1000"`, `"TB-20000"`, ...).
-    pub config: String,
-    /// Flow name (`"derived"` or `"micro"`).
-    pub flow: String,
-    /// Planned case budget.
-    pub cases: u64,
-    /// Work counters of the change-driven (default) `Table` engine.
-    pub driven: MonitorCounters,
-    /// Work counters of the naive engine (`atoms_evaluated ==
-    /// atoms_total` by construction).
-    pub naive: MonitorCounters,
-    /// Work counters of the memoized lazy-progression engine.
-    pub lazy: MonitorCounters,
-    /// Work counters of the compiled-kernel engine.
-    pub compiled: MonitorCounters,
-    /// Fastest of four alternating-order repetitions of the `Table` run.
-    pub driven_wall: Duration,
-    /// Fastest of four alternating-order repetitions of the naive run.
-    pub naive_wall: Duration,
-    /// Fastest of four alternating-order repetitions of the lazy run.
-    pub lazy_wall: Duration,
-    /// Fastest of four alternating-order repetitions of the compiled run.
-    pub compiled_wall: Duration,
-    /// Synthesis-cache activity across this row's legs: compiled-kernel
-    /// hits/misses and the lowering / lazy-stutter-table build walls.
-    pub cache: CacheStats,
-    /// Whether all four engines produced the identical result
-    /// fingerprint. `repro --monitor-bench` exits non-zero when any row
-    /// diverges.
-    pub fingerprints_equal: bool,
-}
-
-/// The fixed engine order of the bench; `walls[i]`/`reports[i]` in
-/// [`timed_engines`] line up with this.
-const BENCH_ENGINES: [EngineKind; 4] = [
-    EngineKind::Table,
-    EngineKind::Naive,
-    EngineKind::Lazy,
-    EngineKind::Compiled,
-];
-
-/// Times `run` once per engine per repetition, rotating which engine goes
-/// first on each of the four repetitions, and keeps the fastest wall per
-/// engine: single-shot timings on a shared machine are ±20% noisy and
-/// drift over time, and the minimum over alternated runs is the stable
-/// estimator of intrinsic cost (same methodology as [`obs_bench`]).
-fn timed_engines<R>(mut run: impl FnMut(EngineKind) -> R) -> ([Duration; 4], [R; 4]) {
-    let mut walls = [Duration::MAX; 4];
-    let mut reports: [Option<R>; 4] = [None, None, None, None];
-    for rep in 0..4 {
-        for slot in 0..4 {
-            let i = (slot + rep) % 4;
-            let t0 = std::time::Instant::now();
-            let report = run(BENCH_ENGINES[i]);
-            walls[i] = walls[i].min(t0.elapsed());
-            reports[i] = Some(report);
-        }
-    }
-    (walls, reports.map(|r| r.expect("every engine ran")))
-}
-
-fn flow_label(flow: FlowKind) -> &'static str {
-    match flow {
-        FlowKind::Derived => "derived",
-        FlowKind::Microprocessor => "micro",
-    }
-}
-
-/// Runs every campaign family under all four monitoring engines and
-/// compares result fingerprints: the fig8 configurations, one tb-sweep
-/// row, the 20k-cycle bounded-response property on the microprocessor
-/// flow (the stutter-compression stress), and both fault campaigns.
-pub fn monitor_bench(scale: Scale) -> Vec<MonitorBenchRow> {
-    let jobs = scale.jobs;
-    let mut rows = Vec::new();
-    let eee_configs: Vec<(&str, &str, CampaignSpec)> = vec![
-        (
-            "fig8",
-            "TB-1000",
-            CampaignSpec::derived(scale.derived_cases, scale.seed),
-        ),
-        (
-            "fig8",
-            "TB-10000",
-            CampaignSpec::derived(scale.derived_cases, scale.seed).with_bound(Some(10_000)),
-        ),
-        (
-            "fig8",
-            "no-TB",
-            CampaignSpec::micro(scale.micro_cases, scale.seed),
-        ),
-        (
-            "tb-sweep",
-            "TB-100",
-            CampaignSpec::derived(scale.derived_cases, scale.seed)
-                .with_op(Op::Read)
-                .with_bound(Some(100)),
-        ),
-        // The 20,000-cycle bounded-response property samples every clock
-        // cycle of the microprocessor flow: the long clean stretches while
-        // the software computes are where stutter compression pays.
-        (
-            "bounded-response",
-            "TB-20000",
-            CampaignSpec::micro(scale.micro_cases, scale.seed).with_bound(Some(20_000)),
-        ),
-    ];
-    for (campaign, config, spec) in eee_configs {
-        // Warm the shared synthesis cache with a single-case run so the
-        // timed legs compare monitoring work, not who pays the one-off
-        // AR-synthesis cache miss. (The compiled-kernel lowering miss is
-        // absorbed by the min-of-4 repetitions: only the first compiled
-        // leg pays it, and the minimum discards that leg.)
-        let mut warmup = spec.clone().with_jobs(1);
-        warmup.cases = 1;
-        run_campaign(&warmup);
-        let before = SynthesisCache::global().stats();
-        let (walls, reports) =
-            timed_engines(|engine| run_campaign(&spec.clone().with_engine(engine).with_jobs(jobs)));
-        let cache = SynthesisCache::global().stats().since(&before);
-        let fingerprints = reports.each_ref().map(|r| r.fingerprint());
-        let [table, naive, lazy, compiled] = reports;
-        rows.push(MonitorBenchRow {
-            campaign: campaign.to_owned(),
-            config: config.to_owned(),
-            flow: flow_label(spec.flow).to_owned(),
-            cases: table.total_cases,
-            driven: table.monitoring,
-            naive: naive.monitoring,
-            lazy: lazy.monitoring,
-            compiled: compiled.monitoring,
-            driven_wall: walls[0],
-            naive_wall: walls[1],
-            lazy_wall: walls[2],
-            compiled_wall: walls[3],
-            cache,
-            fingerprints_equal: fingerprints.iter().all(|f| *f == fingerprints[0]),
-        });
-    }
-    for (flow, cases) in [
-        ("derived", scale.derived_cases),
-        ("micro", scale.micro_cases),
-    ] {
-        let spec = if flow == "micro" {
-            FaultCampaignSpec::micro(cases, scale.seed)
-        } else {
-            FaultCampaignSpec::derived(cases, scale.seed)
-        };
-        let mut warmup = spec.clone().with_jobs(1);
-        warmup.cases = 1;
-        run_fault_campaign(&warmup);
-        let before = SynthesisCache::global().stats();
-        let (walls, reports) = timed_engines(|engine| {
-            run_fault_campaign(&spec.clone().with_engine(engine).with_jobs(jobs))
-        });
-        let cache = SynthesisCache::global().stats().since(&before);
-        let fingerprints = reports.each_ref().map(|r| r.matrix.fingerprint());
-        let [table, naive, lazy, compiled] = reports;
-        rows.push(MonitorBenchRow {
-            campaign: "faults".to_owned(),
-            config: "inject".to_owned(),
-            flow: flow.to_owned(),
-            cases,
-            driven: table.matrix.monitoring,
-            naive: naive.matrix.monitoring,
-            lazy: lazy.matrix.monitoring,
-            compiled: compiled.matrix.monitoring,
-            driven_wall: walls[0],
-            naive_wall: walls[1],
-            lazy_wall: walls[2],
-            compiled_wall: walls[3],
-            cache,
-            fingerprints_equal: fingerprints.iter().all(|f| *f == fingerprints[0]),
-        });
-    }
-    rows
-}
-
-/// One row of the instruction-decode benchmark: the compiled EEE program
-/// driven through a fixed request script on the clocked SoC, once per
-/// encoding × decoder variant.
-#[derive(Clone, Debug)]
-pub struct DecodeBenchRow {
-    /// Variant label (`"word32-table"`, `"word32-legacy"`, `"comp16-table"`).
-    pub variant: String,
-    /// Instruction-encoding name (`"word32"` / `"comp16"`).
-    pub isa: String,
-    /// Whether the hand-written legacy decoder ran instead of the
-    /// description-table decoder (32-bit encoding only).
-    pub legacy_decode: bool,
-    /// Flash footprint of the encoded program in bytes.
-    pub text_bytes: u64,
-    /// Processor cycles executed by one scripted run (identical for the
-    /// two word32 variants; smaller text, same cycle count, for comp16).
-    pub cycles: u64,
-    /// Fastest of four alternating-order repetitions.
-    pub wall: Duration,
-    /// Cycles per second of the fastest repetition.
-    pub cycles_per_sec: f64,
-}
-
-/// Runs the compiled EEE program through one fixed request script on the
-/// clocked SoC under one encoding/decoder variant, returning the cycle
-/// count, the flash footprint, and the per-request observations.
-/// (cycles, flash text bytes, per-request `(ret, read_value)` observations).
-type DecodeRun = (u64, u64, Vec<(i32, i32)>);
-
-fn run_decode_variant(isa: IsaKind, legacy: bool, script: &[(eee::Op, i32, i32)]) -> DecodeRun {
-    use eee::driver::MailboxAddrs;
-    use eee::{
-        share_flash, DataFlash, FlashMmio, FlashReadWindow, FLASH_READ_BASE, FLASH_READ_LEN,
-        FLASH_REG_BASE, FLASH_REG_LEN,
-    };
-    use minic::codegen::{compile, CodegenOptions};
-    use sctc_cpu::{Cpu, Soc};
-
-    let ir = build_ir();
-    let compiled = compile(
-        &ir,
-        CodegenOptions {
-            isa,
-            ..CodegenOptions::default()
-        },
-    )
-    .expect("EEE compiles");
-    let addrs = MailboxAddrs::from_compiled(&compiled);
-    let read_value_addr = compiled.global_addr("eee_read_value");
-    let text_bytes = compiled.text.len() as u64 * 4;
-    let flash = share_flash(DataFlash::new());
-    let mut mem = compiled.build_memory(0x0004_0000);
-    mem.map_device(
-        FLASH_REG_BASE,
-        FLASH_REG_LEN,
-        Box::new(FlashMmio::new(flash.clone())),
-    );
-    mem.map_device(
-        FLASH_READ_BASE,
-        FLASH_READ_LEN,
-        Box::new(FlashReadWindow::new(flash)),
-    );
-    let mut soc = Soc::new(mem);
-    soc.cpu = Cpu::with_isa(0, isa);
-    soc.cpu.set_legacy_decode(legacy);
-    let mut cycles = 0u64;
-    let obs = script
-        .iter()
-        .map(|&(op, arg0, arg1)| {
-            soc.mem
-                .write_u32(addrs.req_op, op.code() as u32)
-                .expect("mailbox in RAM");
-            soc.mem
-                .write_u32(addrs.req_arg0, arg0 as u32)
-                .expect("mailbox in RAM");
-            soc.mem
-                .write_u32(addrs.req_arg1, arg1 as u32)
-                .expect("mailbox in RAM");
-            soc.reset_cpu();
-            while !soc.cpu.is_halted() {
-                assert!(soc.fault.is_none(), "CPU fault in decode bench");
-                soc.cycle();
-                cycles += 1;
-            }
-            let peek = |addr: u32| soc.mem.peek_u32(addr).expect("mailbox in RAM") as i32;
-            (peek(addrs.eee_last_ret), peek(read_value_addr))
-        })
-        .collect();
-    (cycles, text_bytes, obs)
-}
-
-/// Times instruction decode on the clocked microprocessor flow: the
-/// table-driven decoder against the retired hand-written one on the
-/// 32-bit encoding, plus the compressed encoding's table decoder. Walls
-/// are min-of-4 with alternating variant order (same methodology as the
-/// engine bench). The second return is the cross-variant observation
-/// agreement — the three runs must serve identical return codes and read
-/// values; `repro --monitor-bench` exits non-zero when they diverge.
-pub fn decode_bench() -> (Vec<DecodeBenchRow>, bool) {
-    use eee::{Op, NUM_IDS};
-    let mut script: Vec<(Op, i32, i32)> = vec![
-        (Op::Format, 0, 0),
-        (Op::Startup1, 0, 0),
-        (Op::Startup2, 0, 0),
-    ];
-    for round in 0..4 {
-        for id in 0..NUM_IDS {
-            script.push((Op::Write, id, round * 1000 + id));
-            script.push((Op::Read, id, 0));
-        }
-    }
-    let variants: [(&str, IsaKind, bool); 3] = [
-        ("word32-table", IsaKind::Word32, false),
-        ("word32-legacy", IsaKind::Word32, true),
-        ("comp16-table", IsaKind::Comp16, false),
-    ];
-    let mut walls = [Duration::MAX; 3];
-    let mut runs: [Option<DecodeRun>; 3] = [None, None, None];
-    for rep in 0..4 {
-        for slot in 0..3 {
-            let i = (slot + rep) % 3;
-            let (_, isa, legacy) = variants[i];
-            let t0 = std::time::Instant::now();
-            let out = run_decode_variant(isa, legacy, &script);
-            walls[i] = walls[i].min(t0.elapsed());
-            runs[i] = Some(out);
-        }
-    }
-    let runs = runs.map(|r| r.expect("every variant ran"));
-    let equal = runs.iter().all(|(_, _, obs)| *obs == runs[0].2);
-    let rows = variants
-        .iter()
-        .zip(runs.iter().zip(walls))
-        .map(|(&(variant, isa, legacy), (&(cycles, text_bytes, _), wall))| DecodeBenchRow {
-            variant: variant.to_owned(),
-            isa: isa.name().to_owned(),
-            legacy_decode: legacy,
-            text_bytes,
-            cycles,
-            wall,
-            cycles_per_sec: cycles as f64 / wall.as_secs_f64().max(1e-9),
-        })
-        .collect();
-    (rows, equal)
-}
-
-/// Renders monitoring-bench rows as the `BENCH_monitoring.json` document
-/// (`bench-monitoring/v3`: every v2 field is kept — per-engine
-/// `engines.{table,naive,lazy,compiled}` objects with min-of-4 `wall_s`
-/// and `steps_compressed`, compiled-kernel cache counters — and the
-/// document gains a top-level `decode` array with the table-vs-legacy
-/// instruction-decode rows).
-pub fn render_monitoring_bench_json(
-    rows: &[MonitorBenchRow],
-    decode: &[DecodeBenchRow],
-    decode_equal: bool,
-) -> String {
-    use json::JsonWriter;
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-monitoring/v3");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("fingerprints_equal");
-    w.boolean(rows.iter().all(|r| r.fingerprints_equal));
-    w.key("rows");
-    w.begin_array();
-    for row in rows {
-        w.begin_object();
-        w.key("campaign");
-        w.string(&row.campaign);
-        w.key("config");
-        w.string(&row.config);
-        w.key("flow");
-        w.string(&row.flow);
-        w.key("cases");
-        w.number(row.cases as f64);
-        w.key("atoms_evaluated");
-        w.number(row.driven.atoms_evaluated as f64);
-        w.key("atoms_total");
-        w.number(row.driven.atoms_total as f64);
-        w.key("atoms_evaluated_fraction");
-        w.number(if row.driven.atoms_total == 0 {
-            0.0
-        } else {
-            row.driven.atoms_evaluated as f64 / row.driven.atoms_total as f64
-        });
-        w.key("steps_compressed");
-        w.number(row.driven.steps_compressed as f64);
-        w.key("dirty_wakeups");
-        w.number(row.driven.dirty_wakeups as f64);
-        w.key("naive_atoms_evaluated");
-        w.number(row.naive.atoms_evaluated as f64);
-        w.key("driven_wall_s");
-        w.number(row.driven_wall.as_secs_f64());
-        w.key("naive_wall_s");
-        w.number(row.naive_wall.as_secs_f64());
-        w.key("engines");
-        w.begin_object();
-        for (name, counters, wall) in [
-            ("table", &row.driven, row.driven_wall),
-            ("naive", &row.naive, row.naive_wall),
-            ("lazy", &row.lazy, row.lazy_wall),
-            ("compiled", &row.compiled, row.compiled_wall),
-        ] {
-            w.key(name);
-            w.begin_object();
-            w.key("wall_s");
-            w.number(wall.as_secs_f64());
-            w.key("steps_compressed");
-            w.number(counters.steps_compressed as f64);
-            w.key("dirty_wakeups");
-            w.number(counters.dirty_wakeups as f64);
-            w.end_object();
-        }
-        w.end_object();
-        w.key("compiled_cache_hits");
-        w.number(row.cache.compiled_hits as f64);
-        w.key("compiled_cache_misses");
-        w.number(row.cache.compiled_misses as f64);
-        w.key("compiled_build_wall_s");
-        w.number(row.cache.compiled_build_wall.as_secs_f64());
-        w.key("stutter_build_wall_s");
-        w.number(row.cache.stutter_build_wall.as_secs_f64());
-        w.key("compiled_speedup_vs_table");
-        w.number(row.driven_wall.as_secs_f64() / row.compiled_wall.as_secs_f64().max(1e-9));
-        w.key("fingerprints_equal");
-        w.boolean(row.fingerprints_equal);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("decode_observations_equal");
-    w.boolean(decode_equal);
-    w.key("decode");
-    w.begin_array();
-    for row in decode {
-        w.begin_object();
-        w.key("variant");
-        w.string(&row.variant);
-        w.key("isa");
-        w.string(&row.isa);
-        w.key("legacy_decode");
-        w.boolean(row.legacy_decode);
-        w.key("text_bytes");
-        w.number(row.text_bytes as f64);
-        w.key("cycles");
-        w.number(row.cycles as f64);
-        w.key("wall_s");
-        w.number(row.wall.as_secs_f64());
-        w.key("cycles_per_sec");
-        w.number(row.cycles_per_sec);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
 /// The observability benchmark: profiler overhead on the standard
 /// derived-flow campaign plus one unified metrics-registry snapshot.
 #[derive(Clone, Debug)]
@@ -1428,7 +979,6 @@ pub fn witness_demo(profile: bool) -> Vec<WitnessDemo> {
         witnesses: Some(WitnessConfig::default()),
         vcd: true,
         profile,
-        ..ScenarioObs::default()
     };
     let flows: [(FlowKind, &str, u64, &str); 2] = [
         (FlowKind::Derived, "derived", 5_000, "eee_read_value"),
@@ -1786,6 +1336,25 @@ pub fn secs(d: Duration) -> String {
 #[cfg(test)]
 mod telemetry_tests {
     use super::*;
+    use json::Value;
+
+    fn field<'a>(value: &'a Value, key: &str) -> &'a Value {
+        value
+            .get(key)
+            .unwrap_or_else(|| panic!("missing `{key}` in {value:?}"))
+    }
+
+    fn number(value: &Value, key: &str) -> f64 {
+        field(value, key)
+            .as_f64()
+            .unwrap_or_else(|| panic!("`{key}` is not a number in {value:?}"))
+    }
+
+    fn string<'a>(value: &'a Value, key: &str) -> &'a str {
+        field(value, key)
+            .as_str()
+            .unwrap_or_else(|| panic!("`{key}` is not a string in {value:?}"))
+    }
 
     /// The chrome://tracing JSON object format requires `traceEvents`
     /// plus `name`/`cat`/`ph`/`ts`/`pid`/`tid` per event; instant events
@@ -1814,43 +1383,32 @@ mod telemetry_tests {
             },
         ];
         let rendered = render_chrome_trace(&events);
-        for required in [
-            "\"traceEvents\":",
-            "\"name\":\"job.admit\"",
-            "\"name\":\"shard.dispatch\"",
-            "\"cat\":\"sctc\"",
-            "\"ph\":\"i\"",
-            "\"ts\":10",
-            "\"ts\":25",
-            "\"pid\":1",
-            "\"tid\":2",
-            "\"s\":\"t\"",
-            "\"args\":",
-            "\"trace\":7",
-            "\"parent\":1",
-            "\"shard\":0",
-            "\"displayTimeUnit\":\"ms\"",
-        ] {
-            assert!(
-                rendered.contains(required),
-                "chrome trace missing {required}: {rendered}"
-            );
-        }
+        let doc = json::parse(&rendered).expect("chrome trace is valid JSON");
+        assert_eq!(string(&doc, "displayTimeUnit"), "ms");
+        let rendered_events = field(&doc, "traceEvents")
+            .as_array()
+            .expect("`traceEvents` is an array");
         assert_eq!(
-            rendered.matches("\"ph\":\"i\"").count(),
+            rendered_events.len(),
             events.len(),
             "one instant event per trace event"
         );
-        // Structural sanity without a JSON parser: balanced braces and
-        // brackets.
-        let opens = rendered.matches('{').count();
-        let closes = rendered.matches('}').count();
-        assert_eq!(opens, closes, "balanced braces");
-        assert_eq!(
-            rendered.matches('[').count(),
-            rendered.matches(']').count(),
-            "balanced brackets"
-        );
+        for (event, rendered) in events.iter().zip(rendered_events) {
+            assert_eq!(string(rendered, "name"), event.stage);
+            assert_eq!(string(rendered, "cat"), "sctc");
+            assert_eq!(string(rendered, "ph"), "i");
+            assert_eq!(string(rendered, "s"), "t");
+            assert_eq!(number(rendered, "ts"), event.t_us as f64);
+            assert_eq!(number(rendered, "pid"), 1.0);
+            assert_eq!(number(rendered, "tid"), event.tid as f64);
+            let args = field(rendered, "args");
+            assert_eq!(number(args, "trace"), event.trace_id as f64);
+            assert_eq!(number(args, "span"), event.span_id as f64);
+            assert_eq!(number(args, "parent"), event.parent as f64);
+            for (key, value) in &event.fields {
+                assert_eq!(number(args, key), *value as f64, "field `{key}`");
+            }
+        }
     }
 
     #[test]
@@ -1871,13 +1429,15 @@ mod telemetry_tests {
             }],
         };
         let rendered = render_telemetry_json(&report);
-        for required in [
-            "\"schema\":\"bench-telemetry/v1\"",
-            "\"overhead_percent\":1.11",
-            "\"events_recorded\":1",
-            "\"stage\":\"shard.done\"",
-        ] {
-            assert!(rendered.contains(required), "missing {required}: {rendered}");
-        }
+        let doc = json::parse(&rendered).expect("telemetry document is valid JSON");
+        assert_eq!(string(&doc, "schema"), "bench-telemetry/v1");
+        assert_eq!(number(&doc, "overhead_percent"), 1.11);
+        assert_eq!(number(&doc, "events_recorded"), 1.0);
+        let stages = field(&doc, "stages")
+            .as_array()
+            .expect("`stages` is an array");
+        assert_eq!(stages.len(), 1);
+        assert_eq!(string(&stages[0], "stage"), "shard.done");
+        assert_eq!(number(&stages[0], "count"), 1.0);
     }
 }

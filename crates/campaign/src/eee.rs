@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use eee::{run_derived_with_ops, run_micro_with_ops, ExperimentConfig, Op};
-use sctc_core::{trace, EngineKind};
+use sctc_core::trace;
 use sctc_cpu::IsaKind;
 use sctc_temporal::SynthesisCache;
 
@@ -49,8 +49,6 @@ pub struct CampaignSpec {
     pub chunk: u64,
     /// Flash-fault injection probability per case, in percent.
     pub fault_percent: u32,
-    /// Monitoring engine.
-    pub engine: EngineKind,
     /// Instruction encoding of the microprocessor flow (ignored by the
     /// derived flow). Verdicts, coverage and fingerprints are
     /// encoding-independent; only cycle counts differ.
@@ -64,7 +62,7 @@ pub struct CampaignSpec {
 
 impl CampaignSpec {
     /// A derived-model campaign with the defaults of
-    /// [`ExperimentConfig`] (all ops, TB-1000, 10% faults, table engine).
+    /// [`ExperimentConfig`] (all ops, TB-1000, 10% faults).
     pub fn derived(cases: u64, seed: u64) -> Self {
         CampaignSpec {
             flow: FlowKind::Derived,
@@ -75,7 +73,6 @@ impl CampaignSpec {
             jobs: 0,
             chunk: 0,
             fault_percent: 10,
-            engine: EngineKind::Table,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -113,15 +110,6 @@ impl CampaignSpec {
     /// Sets the shard chunk size (`0` = [`default_chunk`]).
     pub fn with_chunk(mut self, chunk: u64) -> Self {
         self.chunk = chunk;
-        self
-    }
-
-    /// Sets the monitoring engine. The default ([`EngineKind::Table`]) is
-    /// the change-driven pipeline; [`EngineKind::Naive`] re-evaluates every
-    /// proposition on every sample. Campaign fingerprints are engine-
-    /// independent by construction.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -183,7 +171,6 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignReport {
             cases: shard.cases,
             bound: spec.bound,
             fault_percent: spec.fault_percent,
-            engine: spec.engine,
             isa: spec.isa,
             max_ticks: spec.max_ticks,
             profile: spec.profile,

@@ -42,6 +42,8 @@ mod runner;
 mod shard;
 
 pub use eee::{resolve_jobs, run_campaign, CampaignSpec, FlowKind};
-pub use report::{CampaignFingerprint, CampaignReport, MergedProperty, ShardOutcome, ShardStats};
+pub use report::{
+    fnv1a64, CampaignFingerprint, CampaignReport, MergedProperty, ShardOutcome, ShardStats,
+};
 pub use runner::{lease_workers, leased_workers, run_shards, run_shards_until, WorkerLease};
 pub use shard::{default_chunk, shard_plan, ShardSpec};

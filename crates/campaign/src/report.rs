@@ -11,6 +11,18 @@ use stimuli::ReturnCoverage;
 
 use crate::shard::ShardSpec;
 
+/// FNV-1a over a byte string: the 64-bit fingerprint function shared by
+/// the fault-matrix, SMC and server layers. Deterministic across platforms
+/// and runs; used wherever two reports must be compared by value.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in bytes {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// One shard's contribution to a campaign.
 #[derive(Clone, Debug)]
 pub struct ShardOutcome {
@@ -51,8 +63,8 @@ pub struct MergedProperty {
     pub violating_shards: Vec<u64>,
     /// Number of shards with a decided verdict.
     pub decided_shards: u64,
-    /// AR-automaton statistics (table engine; identical in every shard —
-    /// the automaton is shared through the synthesis cache).
+    /// AR-automaton statistics (identical in every shard — the automaton
+    /// is shared through the synthesis cache).
     pub synthesis: Option<SynthesisStats>,
 }
 
@@ -99,7 +111,7 @@ pub struct CampaignReport {
     pub shards: Vec<ShardStats>,
     /// Change-driven monitoring counters (summed over shards). Excluded
     /// from [`CampaignReport::fingerprint`]: they measure avoided work,
-    /// which legitimately differs between engines.
+    /// an implementation detail of the pipeline, not a finding.
     pub monitoring: MonitorCounters,
     /// Span-profiler timings merged over the shards (empty unless the
     /// campaign ran with profiling enabled), plus the reducer's own
@@ -109,9 +121,9 @@ pub struct CampaignReport {
 }
 
 /// Everything in a [`CampaignReport`] that must not depend on the worker
-/// count or the monitoring engine: verdicts, counters and coverage, but
-/// no walls, throughput or monitoring-work counters. Two campaigns with
-/// equal fingerprints found exactly the same things.
+/// count: verdicts, counters and coverage, but no walls, throughput or
+/// monitoring-work counters. Two campaigns with equal fingerprints found
+/// exactly the same things.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CampaignFingerprint {
     /// Completed test cases.
@@ -254,9 +266,8 @@ impl CampaignReport {
         cases_per_sec(self.test_cases, self.wall)
     }
 
-    /// Extracts the worker-count- and engine-independent result of the
-    /// campaign. Used by the determinism tests and by the monitoring
-    /// benchmark's naive-vs-change-driven equivalence check.
+    /// Extracts the worker-count-independent result of the campaign. Used
+    /// by the determinism tests and the served-digest comparisons.
     pub fn fingerprint(&self) -> CampaignFingerprint {
         CampaignFingerprint {
             test_cases: self.test_cases,
@@ -354,5 +365,18 @@ impl CampaignReport {
             let _ = write!(out, "{}", self.spans);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a64;
+
+    #[test]
+    fn fnv1a64_matches_reference_vectors() {
+        // Standard FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

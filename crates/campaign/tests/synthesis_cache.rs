@@ -6,7 +6,7 @@
 //! the process registers properties concurrently.
 
 use eee::{response_property, Op};
-use sctc_core::{ClosureProp, EngineKind, Sctc};
+use sctc_core::{ClosureProp, Sctc};
 use sctc_temporal::SynthesisCache;
 
 #[test]
@@ -26,7 +26,6 @@ fn tb_sweep_synthesizes_each_bound_exactly_once() {
                     ClosureProp::boxed("op_active", || false),
                     ClosureProp::boxed("op_done", || true),
                 ],
-                EngineKind::Table,
             )
             .unwrap();
         }

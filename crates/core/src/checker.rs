@@ -8,9 +8,10 @@
 //!
 //! ## Change-driven sampling
 //!
-//! The default engine ([`EngineKind::Table`]) runs a three-stage
-//! change-driven pipeline instead of re-evaluating every proposition on
-//! every trigger:
+//! Every property is monitored by a [`TableMonitor`] over its synthesized
+//! AR-automaton, shared through the process-wide [`SynthesisCache`]. The
+//! checker feeds those monitors through a three-stage change-driven
+//! pipeline instead of re-evaluating every proposition on every trigger:
 //!
 //! 1. **Atom table** — propositions are interned by a canonical key
 //!    ([`Proposition::key`]) into a per-checker atom table; a proposition
@@ -27,10 +28,11 @@
 //!    [`TableMonitor::step_many`] (O(log n) via the automaton's
 //!    stutter-run tables) at the next change or verdict query.
 //!
-//! Verdicts, decision sample indices and all campaign fingerprints are
-//! bit-identical to the naive pipeline, which remains available as
-//! [`EngineKind::Naive`] (and is cross-checked in the test suite). The
-//! avoided work is reported through [`Sctc::counters`].
+//! Verdicts and decision sample indices are those of stepping the
+//! automaton once per sample on a freshly evaluated valuation; the test
+//! suites replay recorded traces that way, and through the progression
+//! [`Monitor`](sctc_temporal::Monitor), to check it. The avoided work is
+//! reported through [`Sctc::counters`].
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -44,50 +46,23 @@ use sctc_obs::{
 };
 use sctc_sim::{Activation, Event, Process, ProcessContext, ProcessId, Simulation};
 use sctc_temporal::{
-    CompiledMonitor, Formula, Monitor, SynthesisCache, SynthesisError, SynthesisStats,
-    TableMonitor, TraceMonitor, Verdict,
+    Formula, SynthesisCache, SynthesisError, SynthesisStats, TableMonitor, TraceMonitor, Verdict,
 };
 
 use crate::proposition::{Proposition, Watch};
 
-/// Which monitoring engine to instantiate per property.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub enum EngineKind {
-    /// Explicitly synthesized AR-automaton (the paper's pipeline; synthesis
-    /// time is part of the verification time), driven by the change-driven
-    /// sampling pipeline: interned atoms, dirty tracking, stutter-compressed
-    /// stepping.
-    #[default]
-    Table,
-    /// The synthesized automaton stepped naively: every bound proposition
-    /// is re-evaluated on every sample and every sample is one table step.
-    /// Kept as the reference engine for equivalence checks and as the
-    /// "before" side of the monitoring benchmarks.
-    Naive,
-    /// Lazy formula progression driven by the change-driven pipeline: no
-    /// synthesis cost, hash-consed residual obligations, and a persistent
-    /// `(node, valuation)` progression memo so repeated valuations (the
-    /// stutter case) progress in O(1).
-    Lazy,
-    /// The AR-automaton lowered at synthesis time into a
-    /// [`CompiledMonitor`] — dense jump arrays, a precomputed run table
-    /// that answers a stutter flush of any length with one lookup, and
-    /// packed per-state self-loop flags. The fastest engine; verdicts,
-    /// decision indices and fingerprints are bit-identical to the others.
-    Compiled,
-}
-
 /// Counters of monitoring work avoided (and done) by the change-driven
 /// pipeline. All values are summed over samples; `atoms_total` counts the
-/// proposition evaluations the naive pipeline would have performed, so
+/// proposition evaluations a per-sample re-evaluation would perform, so
 /// `atoms_evaluated / atoms_total` is the fraction of observation work
 /// actually done.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct MonitorCounters {
     /// Proposition (atom) evaluations actually performed.
     pub atoms_evaluated: u64,
-    /// Proposition evaluations the naive pipeline would have performed
-    /// (per sample: every proposition of every undecided property).
+    /// Proposition evaluations a pipeline without interning or dirty
+    /// tracking would have performed (per sample: every proposition of
+    /// every undecided property).
     pub atoms_total: u64,
     /// Monitor steps that were deferred as identical-valuation stutter and
     /// later applied in bulk through `step_many` instead of one-by-one.
@@ -124,7 +99,7 @@ impl fmt::Display for MonitorCounters {
         };
         writeln!(
             f,
-            "{:<20} {:>14} / {:>14} ({percent:.1}% of naive)",
+            "{:<20} {:>14} / {:>14} ({percent:.1}% of all bindings)",
             "atoms evaluated", self.atoms_evaluated, self.atoms_total
         )?;
         writeln!(f, "{:<20} {:>14}", "dirty wakeups", self.dirty_wakeups)?;
@@ -148,8 +123,6 @@ pub enum SctcError {
     },
     /// AR-automaton synthesis failed.
     Synthesis(SynthesisError),
-    /// The lazy monitor rejected the formula.
-    Il(sctc_temporal::IlError),
 }
 
 impl fmt::Display for SctcError {
@@ -163,7 +136,6 @@ impl fmt::Display for SctcError {
                 "property `{property}` uses proposition `{proposition}` with no binding"
             ),
             SctcError::Synthesis(e) => write!(f, "{e}"),
-            SctcError::Il(e) => write!(f, "{e}"),
         }
     }
 }
@@ -185,7 +157,8 @@ pub struct PropertyResult {
     pub verdict: Verdict,
     /// Sample index (1-based) at which the verdict was decided.
     pub decided_at: Option<u64>,
-    /// AR-automaton synthesis statistics (table engines only).
+    /// AR-automaton synthesis statistics (`None` only in reports built
+    /// by hand).
     pub synthesis: Option<SynthesisStats>,
 }
 
@@ -218,120 +191,20 @@ enum DirtySource {
     },
 }
 
-/// The monitor behind a change-driven check. A closed enum (not a trait
-/// object) so the per-sample dispatch is a jump, not a vtable load, and so
-/// each variant's native bulk-stepping entry point stays reachable.
-enum DrivenMonitor {
-    /// Synthesized AR-automaton stepped through its transition table.
-    Table(TableMonitor),
-    /// Compiled kernel: jump array + precomputed run table.
-    Compiled(CompiledMonitor),
-    /// Memoized formula progression (no synthesis).
-    Lazy(Box<Monitor>),
-}
-
-impl DrivenMonitor {
-    #[inline]
-    fn step(&mut self, valuation: u64) -> Verdict {
-        match self {
-            DrivenMonitor::Table(m) => m.step(valuation),
-            DrivenMonitor::Compiled(m) => m.step(valuation),
-            DrivenMonitor::Lazy(m) => m.step(valuation),
-        }
-    }
-
-    /// Applies `n` identical-valuation steps through the variant's bulk
-    /// kernel (run-table lookup / binary lifting / progression fixpoint).
-    #[inline]
-    fn step_many(&mut self, valuation: u64, n: u64) -> Verdict {
-        match self {
-            DrivenMonitor::Table(m) => m.step_many(valuation, n),
-            DrivenMonitor::Compiled(m) => m.step_run(valuation, n),
-            DrivenMonitor::Lazy(m) => m.step_many(valuation, n),
-        }
-    }
-
-    #[inline]
-    fn verdict(&self) -> Verdict {
-        match self {
-            DrivenMonitor::Table(m) => m.verdict(),
-            DrivenMonitor::Compiled(m) => m.verdict(),
-            DrivenMonitor::Lazy(m) => m.verdict(),
-        }
-    }
-
-    fn decided_at(&self) -> Option<u64> {
-        match self {
-            DrivenMonitor::Table(m) => m.decided_at(),
-            DrivenMonitor::Compiled(m) => m.decided_at(),
-            DrivenMonitor::Lazy(m) => m.decided_at(),
-        }
-    }
-
-    /// The automaton state id, where the engine has one (diagnosis layer;
-    /// the lazy engine's residual formula has no stable numeric state).
-    fn state(&self) -> Option<u32> {
-        match self {
-            DrivenMonitor::Table(m) => Some(m.state()),
-            DrivenMonitor::Compiled(m) => Some(m.state()),
-            DrivenMonitor::Lazy(_) => None,
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            DrivenMonitor::Table(m) => m.reset(),
-            DrivenMonitor::Compiled(m) => m.reset(),
-            DrivenMonitor::Lazy(m) => TraceMonitor::reset(&mut **m),
-        }
-    }
-
-    fn as_trace(&self) -> &dyn TraceMonitor {
-        match self {
-            DrivenMonitor::Table(m) => m,
-            DrivenMonitor::Compiled(m) => m,
-            DrivenMonitor::Lazy(m) => &**m,
-        }
-    }
-}
-
-/// Per-property monitoring state.
-enum CheckEngine {
-    /// Change-driven: projection from the shared atom table plus
-    /// stutter-compressed stepping.
-    Driven {
-        monitor: DrivenMonitor,
-        /// Atom index feeding each automaton prop bit.
-        atom_bits: Vec<usize>,
-        /// The valuation of the last stepped (or pending) samples.
-        last_valuation: u64,
-        /// Identical-valuation samples not yet applied to the monitor.
-        pending: u64,
-        /// Whether `last_valuation` holds a real observation yet.
-        primed: bool,
-    },
-    /// Self-contained: the monitor evaluates its own bound propositions on
-    /// every sample (the naive table pipeline and the lazy engine).
-    Naive {
-        monitor: Box<dyn TraceMonitor>,
-        /// Bound propositions, ordered to match `monitor.props()`.
-        props: Vec<Box<dyn Proposition>>,
-    },
-}
-
-impl CheckEngine {
-    fn monitor(&self) -> &dyn TraceMonitor {
-        match self {
-            CheckEngine::Driven { monitor, .. } => monitor.as_trace(),
-            CheckEngine::Naive { monitor, .. } => monitor.as_ref(),
-        }
-    }
-}
-
+/// Per-property monitoring state: the automaton monitor, its projection
+/// from the shared atom table, and the stutter run not yet stepped.
 struct PropertyCheck {
     name: String,
-    engine: CheckEngine,
-    synthesis: Option<SynthesisStats>,
+    monitor: TableMonitor,
+    /// Atom index feeding each automaton prop bit.
+    atom_bits: Vec<usize>,
+    /// The valuation of the last stepped (or pending) samples.
+    last_valuation: u64,
+    /// Identical-valuation samples not yet applied to the monitor.
+    pending: u64,
+    /// Whether `last_valuation` holds a real observation yet.
+    primed: bool,
+    synthesis: SynthesisStats,
 }
 
 /// VCD channels of one property: a `verdict` wire plus one wire per
@@ -387,7 +260,7 @@ impl ObsState {
 
     /// Records one real monitor step: provenance diff, witness run,
     /// VCD atom-channel changes.
-    fn on_step(&mut self, ci: usize, sample: u64, valuation: u64, state_before: Option<u32>) {
+    fn on_step(&mut self, ci: usize, sample: u64, valuation: u64, state_before: u32) {
         let Some(oc) = self.checks.get_mut(ci) else {
             return;
         };
@@ -412,7 +285,7 @@ impl ObsState {
         }
         oc.last_val = Some(valuation);
         if let Some(rec) = &mut oc.recorder {
-            rec.record(valuation, state_before);
+            rec.record(valuation, Some(state_before));
         }
         if let (Some(doc), Some(ch)) = (&mut self.vcd, &mut oc.vcd) {
             for bit in 0..ch.atom_wires.len() {
@@ -505,43 +378,12 @@ fn word_in_ram(mem: &Memory, addr: u32) -> bool {
         .unwrap_or(false)
 }
 
-/// Provenance label for naive-engine propositions, which register no
-/// watches (derived from what the watch *would* observe).
-fn static_label(prop: &dyn Proposition) -> String {
-    match prop.watch() {
-        Some(Watch::MemWord { soc, addr }) => {
-            let soc_ref = soc.borrow();
-            if word_in_ram(&soc_ref.mem, addr) {
-                mem_write_label(&soc_ref.mem, addr, 4)
-            } else {
-                format!("flash MMIO / device word {addr:#010x} (always dirty)")
-            }
-        }
-        Some(Watch::MemField {
-            soc,
-            addr,
-            lsb,
-            width,
-        }) => {
-            let soc_ref = soc.borrow();
-            if word_in_ram(&soc_ref.mem, addr) {
-                field_write_label(&soc_ref.mem, addr, lsb, width)
-            } else {
-                format!("flash MMIO / device word {addr:#010x} (always dirty)")
-            }
-        }
-        Some(Watch::Global { name, .. }) => format!("global `{name}` write"),
-        Some(Watch::Fname { .. }) => "fname change (call/return)".to_owned(),
-        None => "unwatched proposition (always dirty)".to_owned(),
-    }
-}
-
 /// The checker engine.
 ///
 /// # Examples
 ///
 /// ```
-/// use sctc_core::{ClosureProp, EngineKind, Sctc};
+/// use sctc_core::{ClosureProp, Sctc};
 /// use sctc_temporal::{parse, Verdict};
 ///
 /// let mut sctc = Sctc::new();
@@ -553,7 +395,6 @@ fn static_label(prop: &dyn Proposition) -> String {
 ///     "rises",
 ///     &parse("F[<=5] high").unwrap(),
 ///     vec![ClosureProp::boxed("high", move || c.get() > 2)],
-///     EngineKind::Table,
 /// ).unwrap();
 /// for _ in 0..4 {
 ///     level += 1;
@@ -573,7 +414,7 @@ pub struct Sctc {
     values: Vec<u64>,
     /// Packed per-sample change flags, one bit per atom.
     changed: Vec<u64>,
-    /// Scratch: atoms needed by undecided driven checks this sample.
+    /// Scratch: atoms needed by undecided checks this sample.
     needed: Vec<u64>,
     samples: u64,
     counters: MonitorCounters,
@@ -625,7 +466,10 @@ impl Sctc {
     /// Registers a property with its proposition bindings.
     ///
     /// Every proposition name occurring in `formula` must appear in `props`
-    /// (extra bindings are ignored).
+    /// (extra bindings are ignored). The automaton comes from the
+    /// process-wide [`SynthesisCache`], which shares one immutable
+    /// transition table per distinct formula across all checker instances
+    /// (and thus across campaign worker threads).
     ///
     /// # Errors
     ///
@@ -635,82 +479,32 @@ impl Sctc {
         name: &str,
         formula: &Formula,
         props: Vec<Box<dyn Proposition>>,
-        engine: EngineKind,
     ) -> Result<(), SctcError> {
-        let (engine, synthesis) = match engine {
-            EngineKind::Table => {
-                // The process-wide cache shares one immutable transition
-                // table per distinct formula across all checker instances
-                // (and thus across campaign worker threads).
-                let automaton = SynthesisCache::global().synthesize(formula)?;
-                let stats = automaton.stats();
-                let monitor = DrivenMonitor::Table(TableMonitor::from_shared(automaton));
-                (self.driven_engine(monitor, props, name)?, Some(stats))
-            }
-            EngineKind::Compiled => {
-                // Same cache, one lowering per distinct formula process-wide.
-                let kernel = SynthesisCache::global().synthesize_compiled(formula)?;
-                let stats = kernel.stats();
-                let monitor = DrivenMonitor::Compiled(CompiledMonitor::from_shared(kernel));
-                (self.driven_engine(monitor, props, name)?, Some(stats))
-            }
-            EngineKind::Lazy => {
-                let monitor =
-                    DrivenMonitor::Lazy(Box::new(Monitor::new(formula).map_err(SctcError::Il)?));
-                // No synthesis stats: progression never builds the table.
-                (self.driven_engine(monitor, props, name)?, None)
-            }
-            EngineKind::Naive => {
-                let automaton = SynthesisCache::global().synthesize(formula)?;
-                let stats = automaton.stats();
-                let monitor: Box<dyn TraceMonitor> = Box::new(TableMonitor::from_shared(automaton));
-                let ordered = order_props(monitor.props(), props, name)?;
-                (
-                    CheckEngine::Naive {
-                        monitor,
-                        props: ordered,
-                    },
-                    Some(stats),
-                )
-            }
-        };
-        if let Some(stats) = &synthesis {
-            sctc_obs::trace::emit(
-                "synthesis",
-                &[
-                    ("states", stats.states as u64),
-                    ("transitions", stats.transitions as u64),
-                ],
-            );
-        }
-        self.checks.push(PropertyCheck {
-            name: name.to_owned(),
-            engine,
-            synthesis,
-        });
-        Ok(())
-    }
-
-    /// Wraps a driven monitor into a change-driven [`CheckEngine`],
-    /// interning its propositions into the shared atom table.
-    fn driven_engine(
-        &mut self,
-        monitor: DrivenMonitor,
-        props: Vec<Box<dyn Proposition>>,
-        name: &str,
-    ) -> Result<CheckEngine, SctcError> {
-        let ordered = order_props(monitor.as_trace().props(), props, name)?;
+        let automaton = SynthesisCache::global().synthesize(formula)?;
+        let synthesis = automaton.stats();
+        let monitor = TableMonitor::from_shared(automaton);
+        let ordered = order_props(monitor.props(), props, name)?;
         let atom_bits = ordered
             .into_iter()
             .map(|prop| self.intern_atom(prop))
             .collect();
-        Ok(CheckEngine::Driven {
+        sctc_obs::trace::emit(
+            "synthesis",
+            &[
+                ("states", synthesis.states as u64),
+                ("transitions", synthesis.transitions as u64),
+            ],
+        );
+        self.checks.push(PropertyCheck {
+            name: name.to_owned(),
             monitor,
             atom_bits,
             last_valuation: 0,
             pending: 0,
             primed: false,
-        })
+            synthesis,
+        });
+        Ok(())
     }
 
     /// Interns one proposition into the atom table, registering its
@@ -950,16 +744,12 @@ impl Sctc {
         while obs.checks.len() < self.checks.len() {
             let ci = obs.checks.len();
             let check = &self.checks[ci];
-            let atom_names: Vec<String> = check.engine.monitor().props().to_vec();
-            let bit_labels: Vec<String> = match &check.engine {
-                CheckEngine::Driven { atom_bits, .. } => atom_bits
-                    .iter()
-                    .map(|&a| self.atoms[a].label.clone())
-                    .collect(),
-                CheckEngine::Naive { props, .. } => {
-                    props.iter().map(|p| static_label(p.as_ref())).collect()
-                }
-            };
+            let atom_names: Vec<String> = check.monitor.props().to_vec();
+            let bit_labels: Vec<String> = check
+                .atom_bits
+                .iter()
+                .map(|&a| self.atoms[a].label.clone())
+                .collect();
             let recorder = obs.witness_cfg.map(|cfg| WitnessRecorder::new(cfg.window));
             let vcd = obs.vcd.as_mut().map(|doc| {
                 let verdict_wire = doc.add_wire(&check.name, "verdict");
@@ -999,53 +789,21 @@ impl Sctc {
         let sample_idx = self.samples;
         let mut evaluated_this_sample = 0u64;
 
-        // Naive/lazy checks are self-contained.
-        let mut naive_total = 0u64;
-        for (ci, check) in self.checks.iter_mut().enumerate() {
-            if let CheckEngine::Naive { monitor, props } = &mut check.engine {
-                if monitor.verdict().is_decided() {
-                    continue;
-                }
-                let mut valuation = 0u64;
-                for (bit, prop) in props.iter_mut().enumerate() {
-                    if prop.is_true() {
-                        valuation |= 1 << bit;
-                    }
-                }
-                naive_total += props.len() as u64;
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.on_step(ci, sample_idx, valuation, None);
-                }
-                monitor.step(valuation);
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.on_verdict(ci, &check.name, monitor.verdict(), monitor.decided_at());
-                }
-            }
-        }
-        self.counters.atoms_total += naive_total;
-        self.counters.atoms_evaluated += naive_total;
-        evaluated_this_sample += naive_total;
-
-        // Stage 0: which atoms do undecided driven checks need?
-        let mut any_driven = false;
+        // Stage 0: which atoms do undecided checks need?
+        let mut any_undecided = false;
         self.needed.iter_mut().for_each(|w| *w = 0);
         for check in &self.checks {
-            if let CheckEngine::Driven {
-                monitor, atom_bits, ..
-            } = &check.engine
-            {
-                if monitor.verdict().is_decided() {
-                    continue;
-                }
-                any_driven = true;
-                self.counters.atoms_total += atom_bits.len() as u64;
-                for &a in atom_bits {
-                    set_bit(&mut self.needed, a, true);
-                }
+            if check.monitor.verdict().is_decided() {
+                continue;
+            }
+            any_undecided = true;
+            self.counters.atoms_total += check.atom_bits.len() as u64;
+            for &a in &check.atom_bits {
+                set_bit(&mut self.needed, a, true);
             }
         }
 
-        if any_driven {
+        if any_undecided {
             // Stage 1: pull dirty flags from the model write paths.
             for source in &mut self.sources {
                 match source {
@@ -1100,34 +858,25 @@ impl Sctc {
                 (hot.steps % sctc_obs::SAMPLE_RATE == 1).then(std::time::Instant::now)
             });
             for (ci, check) in self.checks.iter_mut().enumerate() {
-                let CheckEngine::Driven {
-                    monitor,
-                    atom_bits,
-                    last_valuation,
-                    pending,
-                    primed,
-                } = &mut check.engine
-                else {
-                    continue;
-                };
+                let monitor = &mut check.monitor;
                 if monitor.verdict().is_decided() {
                     continue;
                 }
-                if *primed && !atom_bits.iter().any(|&a| get_bit(&self.changed, a)) {
-                    *pending += 1;
+                if check.primed && !check.atom_bits.iter().any(|&a| get_bit(&self.changed, a)) {
+                    check.pending += 1;
                     if let Some(obs) = self.obs.as_mut() {
                         obs.on_stutter(ci);
                     }
                     continue;
                 }
-                if *pending > 0 {
-                    self.counters.steps_compressed += *pending;
-                    monitor.step_many(*last_valuation, *pending);
-                    *pending = 0;
+                if check.pending > 0 {
+                    self.counters.steps_compressed += check.pending;
+                    monitor.step_many(check.last_valuation, check.pending);
+                    check.pending = 0;
                     if monitor.verdict().is_decided() {
                         // The deferred run decided at an earlier sample;
-                        // this sample is not consumed (exactly as the
-                        // naive loop skips decided checks).
+                        // this sample is not consumed (a decided monitor
+                        // takes no further steps).
                         if let Some(obs) = self.obs.as_mut() {
                             obs.on_verdict(
                                 ci,
@@ -1140,7 +889,7 @@ impl Sctc {
                     }
                 }
                 let mut valuation = 0u64;
-                for (bit, &a) in atom_bits.iter().enumerate() {
+                for (bit, &a) in check.atom_bits.iter().enumerate() {
                     if get_bit(&self.values, a) {
                         valuation |= 1 << bit;
                     }
@@ -1149,8 +898,8 @@ impl Sctc {
                     obs.on_step(ci, sample_idx, valuation, monitor.state());
                 }
                 monitor.step(valuation);
-                *last_valuation = valuation;
-                *primed = true;
+                check.last_valuation = valuation;
+                check.primed = true;
                 if let Some(obs) = self.obs.as_mut() {
                     obs.on_verdict(ci, &check.name, monitor.verdict(), monitor.decided_at());
                 }
@@ -1174,21 +923,13 @@ impl Sctc {
     /// flush of stage 3).
     fn flush_pending(&mut self) {
         for (ci, check) in self.checks.iter_mut().enumerate() {
-            if let CheckEngine::Driven {
-                monitor,
-                last_valuation,
-                pending,
-                ..
-            } = &mut check.engine
-            {
-                if *pending > 0 {
-                    self.counters.steps_compressed += *pending;
-                    monitor.step_many(*last_valuation, *pending);
-                    *pending = 0;
-                }
+            let monitor = &mut check.monitor;
+            if check.pending > 0 {
+                self.counters.steps_compressed += check.pending;
+                monitor.step_many(check.last_valuation, check.pending);
+                check.pending = 0;
             }
             if let Some(obs) = self.obs.as_mut() {
-                let monitor = check.engine.monitor();
                 obs.on_verdict(ci, &check.name, monitor.verdict(), monitor.decided_at());
             }
         }
@@ -1197,9 +938,7 @@ impl Sctc {
     /// Returns `true` once every property has a decided verdict.
     pub fn all_decided(&mut self) -> bool {
         self.flush_pending();
-        self.checks
-            .iter()
-            .all(|c| c.engine.monitor().verdict().is_decided())
+        self.checks.iter().all(|c| c.monitor.verdict().is_decided())
     }
 
     /// Returns `true` if any property is already violated.
@@ -1207,7 +946,7 @@ impl Sctc {
         self.flush_pending();
         self.checks
             .iter()
-            .any(|c| c.engine.monitor().verdict() == Verdict::False)
+            .any(|c| c.monitor.verdict() == Verdict::False)
     }
 
     /// Collects per-property results.
@@ -1215,14 +954,11 @@ impl Sctc {
         self.flush_pending();
         self.checks
             .iter()
-            .map(|c| {
-                let monitor = c.engine.monitor();
-                PropertyResult {
-                    name: c.name.clone(),
-                    verdict: monitor.verdict(),
-                    decided_at: monitor.decided_at(),
-                    synthesis: c.synthesis,
-                }
+            .map(|c| PropertyResult {
+                name: c.name.clone(),
+                verdict: c.monitor.verdict(),
+                decided_at: c.monitor.decided_at(),
+                synthesis: Some(c.synthesis),
             })
             .collect()
     }
@@ -1243,21 +979,10 @@ impl Sctc {
     /// synthesized automata are kept.
     pub fn reset(&mut self) {
         for check in &mut self.checks {
-            match &mut check.engine {
-                CheckEngine::Driven {
-                    monitor,
-                    last_valuation,
-                    pending,
-                    primed,
-                    ..
-                } => {
-                    monitor.reset();
-                    *last_valuation = 0;
-                    *pending = 0;
-                    *primed = false;
-                }
-                CheckEngine::Naive { monitor, .. } => monitor.reset(),
-            }
+            check.monitor.reset();
+            check.last_valuation = 0;
+            check.pending = 0;
+            check.primed = false;
         }
         for atom in &mut self.atoms {
             atom.dirty = true;
@@ -1364,7 +1089,6 @@ mod tests {
             "eventually_a",
             &parse("F[<=3] a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
         )
         .unwrap();
         sctc.sample();
@@ -1385,7 +1109,6 @@ mod tests {
                 "p",
                 &parse("G (a -> b)").unwrap(),
                 vec![ClosureProp::boxed("a", || true)],
-                EngineKind::Table,
             )
             .unwrap_err();
         match err {
@@ -1395,25 +1118,18 @@ mod tests {
     }
 
     #[test]
-    fn all_four_engines_agree() {
+    fn checker_matches_the_progression_reference() {
         let formula = parse("G (req -> F[<=2] ack)").unwrap();
         let req = Rc::new(Cell::new(false));
         let ack = Rc::new(Cell::new(false));
-        let build = |engine| {
-            let mut sctc = Sctc::new();
-            sctc.add_property(
-                "p",
-                &formula,
-                vec![flag_prop("req", req.clone()), flag_prop("ack", ack.clone())],
-                engine,
-            )
-            .unwrap();
-            sctc
-        };
-        let mut table = build(EngineKind::Table);
-        let mut naive = build(EngineKind::Naive);
-        let mut lazy = build(EngineKind::Lazy);
-        let mut compiled = build(EngineKind::Compiled);
+        let mut sctc = Sctc::new();
+        sctc.add_property(
+            "p",
+            &formula,
+            vec![flag_prop("req", req.clone()), flag_prop("ack", ack.clone())],
+        )
+        .unwrap();
+        let mut reference = sctc_temporal::Monitor::new(&formula).unwrap();
         // req with no ack within 2 samples → violation.
         let scenario = [
             (true, false),
@@ -1424,21 +1140,18 @@ mod tests {
         for (r, a) in scenario {
             req.set(r);
             ack.set(a);
-            table.sample();
-            naive.sample();
-            lazy.sample();
-            compiled.sample();
+            sctc.sample();
+            // Valuation bits follow the sorted proposition names: ack, req.
+            reference.step(u64::from(a) | u64::from(r) << 1);
         }
         // The request at sample 1 starves through samples 2 and 3; the
         // bound is exhausted at sample 3.
-        for sctc in [&mut table, &mut naive, &mut lazy, &mut compiled] {
-            let r = &sctc.results()[0];
-            assert_eq!(r.verdict, Verdict::False);
-            assert_eq!(r.decided_at, Some(3));
-        }
-        assert!(naive.results()[0].synthesis.is_some());
-        assert!(compiled.results()[0].synthesis.is_some());
-        assert!(lazy.results()[0].synthesis.is_none());
+        let r = &sctc.results()[0];
+        assert_eq!(r.verdict, Verdict::False);
+        assert_eq!(r.decided_at, Some(3));
+        assert_eq!(reference.verdict(), r.verdict);
+        assert_eq!(reference.decided_at(), r.decided_at);
+        assert!(r.synthesis.is_some());
     }
 
     #[test]
@@ -1453,7 +1166,6 @@ mod tests {
                 e.set(e.get() + 1);
                 true
             })],
-            EngineKind::Table,
         )
         .unwrap();
         sctc.sample();
@@ -1471,14 +1183,12 @@ mod tests {
             "holds",
             &parse("G[<=1] a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
         )
         .unwrap();
         sctc.add_property(
             "fails",
             &parse("G[<=5] !a").unwrap(),
             vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
         )
         .unwrap();
         sctc.sample();
@@ -1524,7 +1234,6 @@ mod tests {
                 "g",
                 1,
             )],
-            EngineKind::Table,
         )
         .unwrap();
         sctc.add_property(
@@ -1534,13 +1243,15 @@ mod tests {
                 crate::proposition::esw::global_eq("on", interp.clone(), "g", 1),
                 crate::proposition::esw::global_eq("off", interp.clone(), "g", 0),
             ],
-            EngineKind::Table,
         )
         .unwrap();
         assert_eq!(sctc.atom_count(), 2, "`g == 1` interns to one atom");
         sctc.sample();
         let c = sctc.counters();
-        assert_eq!(c.atoms_total, 3, "naive would evaluate three bindings");
+        assert_eq!(
+            c.atoms_total, 3,
+            "per-sample evaluation would read three bindings"
+        );
         assert_eq!(c.atoms_evaluated, 2, "two distinct atoms evaluated");
     }
 
@@ -1558,7 +1269,6 @@ mod tests {
                 crate::proposition::esw::global_eq("go", interp.clone(), "g", 1),
                 crate::proposition::esw::global_eq("done", interp.clone(), "g", 2),
             ],
-            EngineKind::Table,
         )
         .unwrap();
         sctc.sample(); // first sample evaluates both atoms
@@ -1599,7 +1309,7 @@ mod tests {
         };
         let mut reused = Sctc::new();
         reused
-            .add_property("resp", &formula, props(&interp), EngineKind::Table)
+            .add_property("resp", &formula, props(&interp))
             .unwrap();
 
         // Case 1: trigger, stutter a while (pending accumulates), abandon
@@ -1615,7 +1325,7 @@ mod tests {
         // Case 2 on the reused checker vs a fresh one.
         let mut fresh = Sctc::new();
         fresh
-            .add_property("resp", &formula, props(&interp), EngineKind::Table)
+            .add_property("resp", &formula, props(&interp))
             .unwrap();
         for step in 0..30u32 {
             let v = match step {
@@ -1653,7 +1363,6 @@ mod tests {
                 "g",
                 1,
             )],
-            EngineKind::Table,
         )
         .unwrap();
         for _ in 0..3 {
@@ -1709,8 +1418,7 @@ mod tests {
         };
         let mut sctc = Sctc::new();
         sctc.enable_witnesses(WitnessConfig::default());
-        sctc.add_property("resp", &formula, props(&interp), EngineKind::Table)
-            .unwrap();
+        sctc.add_property("resp", &formula, props(&interp)).unwrap();
         for _ in 0..5 {
             sctc.sample();
         }
@@ -1734,13 +1442,8 @@ mod tests {
     fn disabled_observability_captures_nothing() {
         let mut sctc = Sctc::new();
         let a = Rc::new(Cell::new(false));
-        sctc.add_property(
-            "p",
-            &parse("G a").unwrap(),
-            vec![flag_prop("a", a.clone())],
-            EngineKind::Table,
-        )
-        .unwrap();
+        sctc.add_property("p", &parse("G a").unwrap(), vec![flag_prop("a", a.clone())])
+            .unwrap();
         sctc.sample();
         a.set(true);
         sctc.sample();

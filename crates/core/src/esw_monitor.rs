@@ -81,7 +81,7 @@ impl fmt::Debug for EswMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checker::{share_sctc, EngineKind, Sctc};
+    use crate::checker::{share_sctc, Sctc};
     use crate::proposition::mem;
     use sctc_cpu::{assemble, share, CpuProcess, Memory, Soc};
     use sctc_sim::Duration;
@@ -118,7 +118,6 @@ mod tests {
             "result_reaches_5",
             &parse("F[<=40] result_is_5").unwrap(),
             vec![mem::word_eq("result_is_5", soc.clone(), 0x104, 5)],
-            EngineKind::Table,
         )
         .unwrap();
         let sctc = share_sctc(sctc);
@@ -150,7 +149,6 @@ mod tests {
             "anything",
             &parse("F[<=10] p").unwrap(),
             vec![mem::word_eq("p", soc.clone(), 0x104, 5)],
-            EngineKind::Table,
         )
         .unwrap();
         let sctc = share_sctc(sctc);

@@ -26,9 +26,7 @@ use sctc_sim::{
 };
 use sctc_temporal::Formula;
 
-use crate::checker::{
-    share_sctc, EngineKind, MonitorCounters, PropertyResult, Sctc, SctcError, SctcProcess,
-};
+use crate::checker::{share_sctc, MonitorCounters, PropertyResult, Sctc, SctcError, SctcProcess};
 use crate::esw_monitor::EswMonitor;
 use crate::proposition::Proposition;
 
@@ -237,14 +235,10 @@ impl MicroprocessorFlow {
         name: &str,
         formula: &Formula,
         props: Vec<Box<dyn Proposition>>,
-        engine: EngineKind,
     ) -> Result<(), SctcError> {
         let _span = SpanProfiler::maybe_enter(&self.profiler, "synthesis");
         let t0 = Instant::now();
-        let result = self
-            .sctc
-            .borrow_mut()
-            .add_property(name, formula, props, engine);
+        let result = self.sctc.borrow_mut().add_property(name, formula, props);
         self.synthesis_wall += t0.elapsed();
         result
     }
@@ -443,14 +437,10 @@ impl DerivedModelFlow {
         name: &str,
         formula: &Formula,
         props: Vec<Box<dyn Proposition>>,
-        engine: EngineKind,
     ) -> Result<(), SctcError> {
         let _span = SpanProfiler::maybe_enter(&self.profiler, "synthesis");
         let t0 = Instant::now();
-        let result = self
-            .sctc
-            .borrow_mut()
-            .add_property(name, formula, props, engine);
+        let result = self.sctc.borrow_mut().add_property(name, formula, props);
         self.synthesis_wall += t0.elapsed();
         result
     }
@@ -674,7 +664,6 @@ mod tests {
                 esw::global_eq("one", h.clone(), "status", 1),
                 esw::global_eq("two", h.clone(), "status", 2),
             ],
-            EngineKind::Table,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 1_000_000).unwrap();
@@ -698,7 +687,6 @@ mod tests {
                 mem::word_eq("one", soc.clone(), status, 1),
                 mem::word_eq("two", soc.clone(), status, 2),
             ],
-            EngineKind::Table,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 100_000_000).unwrap();
@@ -719,7 +707,6 @@ mod tests {
                 esw::global_eq("one", h.clone(), "status", 1),
                 esw::global_eq("two", h.clone(), "status", 2),
             ],
-            EngineKind::Table,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 1_000_000).unwrap();
@@ -739,7 +726,6 @@ mod tests {
                 "t",
                 &bounded,
                 vec![esw::global_eq("two", h.clone(), "status", 2)],
-                EngineKind::Lazy,
             )
             .unwrap();
         let dreport = dflow.run(Box::new(SingleRun::new()), 10_000_000).unwrap();
@@ -753,7 +739,6 @@ mod tests {
                 "t",
                 &bounded,
                 vec![mem::word_eq("two", soc.clone(), status, 2)],
-                EngineKind::Lazy,
             )
             .unwrap();
         let mreport = mflow.run(Box::new(SingleRun::new()), 100_000_000).unwrap();
@@ -780,7 +765,6 @@ mod tests {
                 esw::global_eq("one", h.clone(), "status", 1),
                 esw::global_eq("two", h.clone(), "status", 2),
             ],
-            EngineKind::Table,
         )
         .unwrap();
         let report = flow.run(Box::new(SingleRun::new()), 1_000_000).unwrap();

@@ -18,7 +18,7 @@
 //! ```
 //! use std::rc::Rc;
 //! use minic::{lower, parse as parse_c, Interp};
-//! use sctc_core::{esw, DerivedModelFlow, EngineKind, SingleRun};
+//! use sctc_core::{esw, DerivedModelFlow, SingleRun};
 //! use sctc_temporal::{parse, Verdict};
 //!
 //! let src = "
@@ -35,7 +35,6 @@
 //!         esw::global_eq("one", h.clone(), "status", 1),
 //!         esw::global_eq("two", h.clone(), "status", 2),
 //!     ],
-//!     EngineKind::Table,
 //! ).unwrap();
 //! let report = flow.run(Box::new(SingleRun::new()), 100_000).unwrap();
 //! assert_eq!(report.properties[0].verdict, Verdict::True);
@@ -51,8 +50,7 @@ mod proposition;
 mod report;
 
 pub use checker::{
-    share_sctc, EngineKind, MonitorCounters, PropertyResult, Sctc, SctcError, SctcProcess,
-    SharedSctc,
+    share_sctc, MonitorCounters, PropertyResult, Sctc, SctcError, SctcProcess, SharedSctc,
 };
 pub use esw_monitor::EswMonitor;
 pub use flow::{

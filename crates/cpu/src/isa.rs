@@ -416,10 +416,10 @@ impl Instr {
         Ok(Instr::from_fields(desc.kind, rd, rs1, imm))
     }
 
-    /// The pre-table hand-written decoder, kept verbatim as the baseline
-    /// for `repro --monitor-bench`'s decode comparison. Not used by any
-    /// flow; semantics are identical to [`Instr::decode`].
-    pub fn decode_legacy(word: u32) -> Result<Instr, DecodeError> {
+    /// The pre-table hand-written decoder, kept verbatim as the test
+    /// oracle of [`Instr::decode`]: the two must agree on every word.
+    #[cfg(test)]
+    fn decode_legacy(word: u32) -> Result<Instr, DecodeError> {
         use AluOp::*;
         use BranchCond::*;
         let op = word >> 24;
@@ -729,15 +729,37 @@ mod tests {
         }
     }
 
+    /// The table decoder and the hand-written one are the same function
+    /// on every 32-bit word: every sample instruction, all 256 opcode
+    /// bytes with exhaustive field corners, and pseudo-random words.
     #[test]
     fn table_decode_matches_legacy_decoder() {
         for instr in all_sample_instrs() {
             let word = instr.encode();
             assert_eq!(Instr::decode(word), Instr::decode_legacy(word));
+            assert_eq!(Instr::decode_legacy(word), Ok(instr));
         }
         for opcode in 0u32..=255 {
-            let word = (opcode << 24) | 0x0012_3456;
-            assert_eq!(Instr::decode(word), Instr::decode_legacy(word), "{word:#x}");
+            for fields in [0u32, 0x00ff_ffff, 0x0012_3456, 0x00f0_0001, 0x000f_8000] {
+                let word = (opcode << 24) | fields;
+                assert_eq!(
+                    Instr::decode(word),
+                    Instr::decode_legacy(word),
+                    "{word:#010x}"
+                );
+            }
+        }
+        let mut lcg = 0x2008_0310_u64;
+        for _ in 0..4096 {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let word = (lcg >> 32) as u32;
+            assert_eq!(
+                Instr::decode(word),
+                Instr::decode_legacy(word),
+                "{word:#010x}"
+            );
         }
     }
 

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use minic::codegen::{compile, CodegenOptions};
 use minic::Interp;
-use sctc_core::{DerivedModelFlow, EngineKind, MicroprocessorFlow, RunReport};
+use sctc_core::{DerivedModelFlow, MicroprocessorFlow, RunReport};
 use sctc_cpu::IsaKind;
 use sctc_temporal::Verdict;
 
@@ -30,8 +30,6 @@ pub struct ExperimentConfig {
     pub bound: Option<u64>,
     /// Flash-fault injection probability per case, in percent.
     pub fault_percent: u32,
-    /// Monitoring engine.
-    pub engine: EngineKind,
     /// Instruction encoding of the microprocessor flow (ignored by the
     /// derived flow). Verdicts and coverage are encoding-independent; only
     /// cycle counts differ.
@@ -50,7 +48,6 @@ impl Default for ExperimentConfig {
             cases: 100,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -147,7 +144,6 @@ pub fn run_derived_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentO
             &op.to_string(),
             &response_property(op, config.bound),
             bind_derived(op, &handle),
-            config.engine,
         )
         .expect("EEE properties bind by construction");
     }
@@ -213,13 +209,8 @@ pub fn run_micro_with_ops(config: ExperimentConfig, ops: &[Op]) -> ExperimentOut
     let soc = flow.soc();
     for &op in ops {
         let props = bind_micro(op, &soc, flow.compiled());
-        flow.add_property(
-            &op.to_string(),
-            &response_property(op, config.bound),
-            props,
-            config.engine,
-        )
-        .expect("EEE properties bind by construction");
+        flow.add_property(&op.to_string(), &response_property(op, config.bound), props)
+            .expect("EEE properties bind by construction");
     }
     let coverage = coverage_for_ops();
     let faults = Rc::new(RefCell::new(Vec::new()));

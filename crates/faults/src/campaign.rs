@@ -14,7 +14,7 @@ use eee::{FLASH_READ_BASE, FLASH_READ_LEN, FLASH_REG_BASE, FLASH_REG_LEN};
 use minic::codegen::{compile, CodegenOptions};
 use minic::{Interp, SharedInterp};
 use sctc_campaign::{default_chunk, resolve_jobs, run_shards, shard_plan, FlowKind, ShardSpec};
-use sctc_core::{esw, sym, trace, DerivedModelFlow, EngineKind, MicroprocessorFlow, Proposition};
+use sctc_core::{esw, sym, trace, DerivedModelFlow, MicroprocessorFlow, Proposition};
 use sctc_cpu::SharedSoc;
 use sctc_temporal::{parse, Formula};
 
@@ -42,8 +42,6 @@ pub struct FaultCampaignSpec {
     /// initialized)` — statements for the derived flow, clock cycles for
     /// the microprocessor flow.
     pub recovery_bound: u64,
-    /// Monitoring engine.
-    pub engine: EngineKind,
     /// Simulation-tick budget per shard.
     pub max_ticks: u64,
     /// Enables the span profiler in every shard; timings are merged into
@@ -63,7 +61,6 @@ impl FaultCampaignSpec {
             chunk: 0,
             fault_percent: 35,
             recovery_bound: 5_000,
-            engine: EngineKind::Table,
             max_ticks: u64::MAX / 2,
             profile: false,
         }
@@ -94,14 +91,6 @@ impl FaultCampaignSpec {
     /// Sets the per-case fault probability in percent.
     pub fn with_fault_percent(mut self, percent: u32) -> Self {
         self.fault_percent = percent;
-        self
-    }
-
-    /// Sets the monitoring engine. Matrix fingerprints are engine-
-    /// independent: [`EngineKind::Naive`] must detect exactly the same
-    /// faults as the default change-driven pipeline.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -226,7 +215,6 @@ fn run_fault_shard(
         request_seed: shard.seed,
         cases: shard.cases,
         recovery_bound: spec.recovery_bound,
-        engine: spec.engine,
         max_ticks: spec.max_ticks,
         profile: spec.profile,
     };
@@ -276,8 +264,6 @@ pub struct FaultUnitSpec {
     pub cases: u64,
     /// Sample bound of the recovery property.
     pub recovery_bound: u64,
-    /// Monitoring engine.
-    pub engine: EngineKind,
     /// Simulation-tick budget.
     pub max_ticks: u64,
     /// Enables the span profiler.
@@ -309,10 +295,9 @@ fn run_derived_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
         "recovery",
         &recovery_property(unit.recovery_bound),
         recovery_props,
-        unit.engine,
     )
     .expect("recovery property binds by construction");
-    flow.add_property("intact", &intact_property(), intact_props, unit.engine)
+    flow.add_property("intact", &intact_property(), intact_props)
         .expect("intact property binds by construction");
     let session = FaultSession::from_plan(unit.request_seed, unit.cases, plan, flash);
     let records = session.records_handle();
@@ -367,10 +352,9 @@ fn run_micro_unit(unit: &FaultUnitSpec, plan: &FaultPlan) -> ShardMatrix {
         "recovery",
         &recovery_property(unit.recovery_bound),
         recovery_props,
-        unit.engine,
     )
     .expect("recovery property binds by construction");
-    flow.add_property("intact", &intact_property(), intact_props, unit.engine)
+    flow.add_property("intact", &intact_property(), intact_props)
         .expect("intact property binds by construction");
     let session = FaultSession::from_plan(unit.request_seed, unit.cases, plan, flash);
     let records = session.records_handle();

@@ -74,8 +74,8 @@ pub struct DetectionMatrix {
     pub properties: Vec<(String, Verdict)>,
     /// Monitoring counters summed over shards. Deliberately **outside**
     /// [`DetectionMatrix::canonical`] (and thus the fingerprint): counters
-    /// measure avoided work, which differs between engines while the
-    /// detected faults must not.
+    /// measure avoided work, an implementation detail of the pipeline,
+    /// while the detected faults are the finding.
     pub monitoring: MonitorCounters,
     /// Span-profiler timings merged over shards plus the reducer's own
     /// `shard-merge` span. Like the counters, deliberately **outside**
@@ -169,7 +169,7 @@ impl DetectionMatrix {
     /// contract is "same (plan, seed, chunk) ⇒ same fingerprint for any
     /// worker count".
     pub fn fingerprint(&self) -> u64 {
-        sctc_temporal::fnv1a64(self.canonical().as_bytes())
+        sctc_campaign::fnv1a64(self.canonical().as_bytes())
     }
 
     /// Renders the fault-class × operation detection grid plus the
@@ -295,8 +295,8 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         b.records[0].detected = false;
         assert_ne!(a.fingerprint(), b.fingerprint());
-        // Counters never feed the fingerprint: they differ between engines
-        // while the detected faults must not.
+        // Counters never feed the fingerprint: they measure avoided work,
+        // not what was detected.
         let mut c = a.clone();
         c.monitoring.atoms_evaluated = 12345;
         assert_eq!(a.fingerprint(), c.fingerprint());

@@ -17,7 +17,7 @@ use minic::codegen::{compile, CodegenOptions};
 use minic::ir::IrProgram;
 use minic::Interp;
 use sctc_campaign::FlowKind;
-use sctc_core::{DerivedModelFlow, EngineKind, MicroprocessorFlow, RunReport, WitnessConfig};
+use sctc_core::{DerivedModelFlow, MicroprocessorFlow, RunReport, WitnessConfig};
 use sctc_temporal::Verdict;
 
 use crate::campaign::{
@@ -132,10 +132,6 @@ pub struct ScenarioObs {
     pub vcd: bool,
     /// Enable the span profiler.
     pub profile: bool,
-    /// Monitoring engine for both scenario properties (defaults to the
-    /// change-driven table engine; equivalence tests swap in `Naive` and
-    /// `Lazy` to prove the scenario verdicts are engine-independent).
-    pub engine: EngineKind,
 }
 
 /// Runs the power-loss scenario on `ir` under the chosen flow.
@@ -179,10 +175,9 @@ fn run_derived(
         "recovery",
         &recovery_property(recovery_bound),
         recovery_props,
-        obs.engine,
     )
     .expect("recovery property binds");
-    flow.add_property("intact", &intact_property(), intact_props, obs.engine)
+    flow.add_property("intact", &intact_property(), intact_props)
         .expect("intact property binds");
     let session = FaultSession::scripted(script(), &cut_plan(), flash);
     let records = session.records_handle();
@@ -261,10 +256,9 @@ fn run_micro(
         "recovery",
         &recovery_property(recovery_bound),
         recovery_props,
-        obs.engine,
     )
     .expect("recovery property binds");
-    flow.add_property("intact", &intact_property(), intact_props, obs.engine)
+    flow.add_property("intact", &intact_property(), intact_props)
         .expect("intact property binds");
     let session = FaultSession::scripted(script(), &cut_plan(), flash);
     let records = session.records_handle();

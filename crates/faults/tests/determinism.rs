@@ -87,73 +87,36 @@ fn healthy_esw_never_serves_a_torn_write_under_the_fault_campaign() {
 }
 
 #[test]
-fn all_three_engines_detect_the_same_faults() {
+fn change_driven_sampling_skips_clean_atoms_under_faults() {
     // The matrix fingerprint hashes every fault consequence and verdict;
-    // it must not depend on the monitoring engine, only the work counters
-    // (outside the fingerprint) may differ. Lazy progression monitors the
-    // same fault-perturbed traces as both table engines, so it must agree
-    // record for record too.
+    // it must not depend on the worker count, while the work counters
+    // (outside the fingerprint) show the skipped clean atoms.
     let spec = FaultCampaignSpec::derived(60, 20080310)
         .with_chunk(10)
-        .with_fault_percent(40)
-        .with_jobs(4);
-    let driven = run_fault_campaign(&spec);
-    let naive = run_fault_campaign(
-        &spec
-            .clone()
-            .with_engine(sctc_core::EngineKind::Naive)
-            .with_jobs(1),
-    );
-    let lazy = run_fault_campaign(
-        &spec
-            .clone()
-            .with_engine(sctc_core::EngineKind::Lazy)
-            .with_jobs(2),
-    );
-    assert_eq!(driven.matrix.canonical(), naive.matrix.canonical());
-    assert_eq!(driven.matrix.fingerprint(), naive.matrix.fingerprint());
-    assert_eq!(driven.matrix.canonical(), lazy.matrix.canonical());
-    assert_eq!(driven.matrix.fingerprint(), lazy.matrix.fingerprint());
-    assert_eq!(
-        naive.matrix.monitoring.atoms_evaluated,
-        naive.matrix.monitoring.atoms_total
-    );
+        .with_fault_percent(40);
+    let pool = run_fault_campaign(&spec.clone().with_jobs(4));
+    let solo = run_fault_campaign(&spec.with_jobs(1));
+    assert_eq!(pool.matrix.canonical(), solo.matrix.canonical());
+    assert_eq!(pool.matrix.fingerprint(), solo.matrix.fingerprint());
     assert!(
-        driven.matrix.monitoring.atoms_evaluated < driven.matrix.monitoring.atoms_total,
+        pool.matrix.monitoring.atoms_evaluated < pool.matrix.monitoring.atoms_total,
         "change-driven sampling must skip clean atoms: {:?}",
-        driven.matrix.monitoring
+        pool.matrix.monitoring
     );
 }
 
 #[test]
-fn lazy_engine_grades_the_torn_write_scenario_like_the_table_engine() {
-    // The scripted power cut under the torn mutant is the sharpest
-    // engine-coverage probe: `G intact` must flip to `False` at the same
-    // point regardless of engine, and the healthy ESW must stay clean.
+fn torn_write_scenario_is_caught_and_the_healthy_esw_is_not_flagged() {
+    // The scripted power cut under the torn mutant: `G intact` must flip
+    // to `False`, and the healthy ESW must stay clean.
     use faults::scenario::{
         healthy_ir, run_scenario_observed, torn_write_ir, ScenarioObs,
     };
     use sctc_campaign::FlowKind;
-    use sctc_core::EngineKind;
 
-    for engine in [EngineKind::Table, EngineKind::Naive, EngineKind::Lazy] {
-        let obs = ScenarioObs {
-            engine,
-            ..ScenarioObs::default()
-        };
-        let (torn, _) =
-            run_scenario_observed(FlowKind::Derived, torn_write_ir(), 5_000, obs);
-        assert_eq!(
-            torn.verdict_of("intact"),
-            Verdict::False,
-            "{engine:?} must catch the torn write"
-        );
-        let (healthy, _) =
-            run_scenario_observed(FlowKind::Derived, healthy_ir(), 5_000, obs);
-        assert_ne!(
-            healthy.verdict_of("intact"),
-            Verdict::False,
-            "{engine:?} must not flag the healthy ESW"
-        );
-    }
+    let obs = ScenarioObs::default();
+    let (torn, _) = run_scenario_observed(FlowKind::Derived, torn_write_ir(), 5_000, obs);
+    assert_eq!(torn.verdict_of("intact"), Verdict::False);
+    let (healthy, _) = run_scenario_observed(FlowKind::Derived, healthy_ir(), 5_000, obs);
+    assert_ne!(healthy.verdict_of("intact"), Verdict::False);
 }

@@ -43,7 +43,7 @@ pub struct WitnessStep {
     /// Packed atom valuation (bit `i` is `atom_names[i]`).
     pub valuation: u64,
     /// AR-automaton state *before* the run's first step; `None` when
-    /// the monitoring engine exposes no table state (lazy monitor).
+    /// the recorder was given no state.
     pub state_before: Option<u32>,
 }
 

@@ -2,19 +2,18 @@
 //!
 //! A long-lived, dependency-free framed-TCP front end over the campaign,
 //! fault-injection, SMC, and scenario runners (ROADMAP item 1): clients
-//! submit `(flow, properties, seed, engine, query)` jobs and stream back
-//! reports, witnesses, and VCDs. In front of the runners sits a
-//! content-addressed **result cache** ([`sctc_temporal::ResultCache`]):
-//! jobs are keyed on their canonical byte encoding (engine-normalised —
-//! the equivalence suites prove engine-independent fingerprints), repeat
-//! traffic is a cache hit instead of a re-simulation, and concurrent
-//! identical jobs coalesce into a single run (single-flight).
+//! submit `(flow, properties, seed, query)` jobs and stream back reports,
+//! witnesses, and VCDs. In front of the runners sits a content-addressed
+//! **result cache** ([`cache::ResultCache`]): jobs are keyed on their wire
+//! encoding, repeat traffic is a cache hit instead of a re-simulation, and
+//! concurrent identical jobs coalesce into a single run (single-flight).
 //!
 //! Layers, bottom up:
 //!
 //! * [`wire`] — primitive encode/decode, framing, typed [`wire::WireError`].
 //! * [`protocol`] — the request/reply grammar (see its module docs).
 //! * [`job`] — job specs, content keys, execution, digests.
+//! * [`cache`] — the single-flight result cache with its byte budget.
 //! * [`server`] / [`client`] — the blocking TCP service and its client.
 //!
 //! ## Example
@@ -32,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod client;
 pub mod job;
 pub mod protocol;

@@ -29,7 +29,6 @@
 
 use faults::EswProgram;
 use sctc_campaign::{CampaignFingerprint, FlowKind};
-use sctc_core::EngineKind;
 use sctc_cpu::IsaKind;
 use sctc_smc::{SmcMethod, SmcQuery, SmcVerdict, SmcWorkload};
 use sctc_temporal::Verdict;
@@ -43,8 +42,9 @@ use crate::wire::{WireError, WireReader, WireWriter};
 pub const MAGIC: u32 = 0x5343_5443;
 /// Protocol version. Bumped on any grammar change. Version 2 added the
 /// telemetry plane: trace ids on `Accepted`/`Done`, streamed `Progress`
-/// frames, and the `Telemetry` request/reply pair.
-pub const VERSION: u32 = 2;
+/// frames, and the `Telemetry` request/reply pair. Version 3 dropped the
+/// monitoring-engine byte from every job spec.
+pub const VERSION: u32 = 3;
 
 /// Server refused the job: malformed request.
 pub const ERR_BAD_REQUEST: u32 = 1;
@@ -225,28 +225,6 @@ fn get_flow(r: &mut WireReader) -> Result<FlowKind, WireError> {
         1 => Ok(FlowKind::Microprocessor),
         code => Err(WireError::BadTag {
             what: "flow kind",
-            code: u64::from(code),
-        }),
-    }
-}
-
-fn put_engine(w: &mut WireWriter, engine: EngineKind) {
-    w.u8(match engine {
-        EngineKind::Table => 0,
-        EngineKind::Naive => 1,
-        EngineKind::Lazy => 2,
-        EngineKind::Compiled => 3,
-    });
-}
-
-fn get_engine(r: &mut WireReader) -> Result<EngineKind, WireError> {
-    match r.u8()? {
-        0 => Ok(EngineKind::Table),
-        1 => Ok(EngineKind::Naive),
-        2 => Ok(EngineKind::Lazy),
-        3 => Ok(EngineKind::Compiled),
-        code => Err(WireError::BadTag {
-            what: "engine kind",
             code: u64::from(code),
         }),
     }
@@ -448,20 +426,11 @@ fn get_isa(r: &mut WireReader) -> Result<IsaKind, WireError> {
     })
 }
 
-/// Encodes a job spec. When `for_key` is set the engine byte is written as
-/// a fixed canonical value, which is what makes engine variants share a
-/// cache entry (the equivalence suites prove engine-independent results).
-/// The ISA byte is **not** normalised: results are encoding-independent,
-/// but the server must execute the encoding the client asked for, so the
-/// two encodings are distinct cache entries.
-fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
-    let engine_byte = |w: &mut WireWriter, engine: EngineKind| {
-        if for_key {
-            put_engine(w, EngineKind::Table);
-        } else {
-            put_engine(w, engine);
-        }
-    };
+/// Encodes a job spec. The encoding is also the job's cache key. The ISA
+/// byte is part of it: results are encoding-independent, but the server
+/// must execute the encoding the client asked for, so the two encodings
+/// are distinct cache entries.
+fn put_spec(w: &mut WireWriter, spec: &JobSpec) {
     match spec {
         JobSpec::Campaign(j) => {
             w.u8(0);
@@ -475,7 +444,6 @@ fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
             w.u64(j.seed);
             w.u64(j.chunk);
             w.u32(j.fault_percent);
-            engine_byte(w, j.engine);
             put_isa(w, j.isa);
         }
         JobSpec::Faults(j) => {
@@ -486,7 +454,6 @@ fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
             w.u64(j.chunk);
             w.u32(j.fault_percent);
             w.u64(j.recovery_bound);
-            engine_byte(w, j.engine);
         }
         JobSpec::Smc(j) => {
             w.u8(2);
@@ -497,14 +464,12 @@ fn put_spec(w: &mut WireWriter, spec: &JobSpec, for_key: bool) {
             w.u64(j.seed);
             w.u64(j.max_samples);
             w.u64(j.recovery_bound);
-            engine_byte(w, j.engine);
         }
         JobSpec::Scenario(j) => {
             w.u8(3);
             put_flow(w, j.flow);
             put_program(w, j.program);
             w.u64(j.recovery_bound);
-            engine_byte(w, j.engine);
             w.bool(j.want_witness);
             w.bool(j.want_vcd);
         }
@@ -528,7 +493,6 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
                 seed: r.u64()?,
                 chunk: r.u64()?,
                 fault_percent: r.u32()?,
-                engine: get_engine(r)?,
                 isa: get_isa(r)?,
             }))
         }
@@ -539,7 +503,6 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
             chunk: r.u64()?,
             fault_percent: r.u32()?,
             recovery_bound: r.u64()?,
-            engine: get_engine(r)?,
         })),
         2 => Ok(JobSpec::Smc(SmcJob {
             flow: get_flow(r)?,
@@ -549,13 +512,11 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
             seed: r.u64()?,
             max_samples: r.u64()?,
             recovery_bound: r.u64()?,
-            engine: get_engine(r)?,
         })),
         3 => Ok(JobSpec::Scenario(ScenarioJob {
             flow: get_flow(r)?,
             program: get_program(r)?,
             recovery_bound: r.u64()?,
-            engine: get_engine(r)?,
             want_witness: r.bool()?,
             want_vcd: r.bool()?,
         })),
@@ -566,11 +527,10 @@ fn get_spec(r: &mut WireReader) -> Result<JobSpec, WireError> {
     }
 }
 
-/// The canonical (engine-normalised) spec encoding — the cache key.
-pub fn encode_spec_canonical(spec: &JobSpec) -> Vec<u8> {
+/// A job spec's wire encoding — the result-cache key.
+pub fn encode_spec(spec: &JobSpec) -> Vec<u8> {
     let mut w = WireWriter::new();
-    w.str("sctc-job/v1");
-    put_spec(&mut w, spec, true);
+    put_spec(&mut w, spec);
     w.into_bytes()
 }
 
@@ -738,7 +698,7 @@ impl Request {
             Request::Job { options, spec } => {
                 w.u64(options.deadline_ms);
                 w.u64(options.jobs as u64);
-                put_spec(&mut w, spec, false);
+                put_spec(&mut w, spec);
                 0x02
             }
             Request::Stats => 0x03,
@@ -1163,13 +1123,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_engine_but_nothing_else() {
+    fn cache_key_covers_every_content_field() {
         let base = JobSpec::small_campaign(40, 7);
-        let mut lazy = base.clone();
-        if let JobSpec::Campaign(j) = &mut lazy {
-            j.engine = sctc_core::EngineKind::Lazy;
-        }
-        assert_eq!(base.content_key(), lazy.content_key());
+        assert_eq!(
+            base.content_key(),
+            JobSpec::small_campaign(40, 7).content_key()
+        );
 
         let mut reseeded = base.clone();
         if let JobSpec::Campaign(j) = &mut reseeded {

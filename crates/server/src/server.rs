@@ -26,8 +26,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use sctc_obs::{trace, MetricValue, Metrics};
-use sctc_temporal::{Lookup, ResultCache, WaitOutcome};
 
+use crate::cache::{FlightHandle, Lookup, ResultCache, WaitOutcome};
 use crate::job::{run_job, JobOptions, JobOutput, JobSpec};
 use crate::protocol::{
     Reply, Request, Served, TelemetryValue, ERR_BAD_REQUEST, ERR_JOB_FAILED, ERR_SHUTTING_DOWN,
@@ -781,7 +781,7 @@ fn eta_us(elapsed: Duration, done: u64, total: u64) -> u64 {
 fn wait_streaming(
     stream: &mut TcpStream,
     state: &ServerState,
-    handle: &sctc_temporal::FlightHandle<JobOutput>,
+    handle: &FlightHandle<JobOutput>,
     options: &JobOptions,
     default_deadline_ms: u64,
     job_id: u64,

@@ -72,6 +72,30 @@ fn truncated_frame_yields_typed_error_not_hang() {
 }
 
 #[test]
+fn previous_protocol_version_is_refused_at_the_handshake() {
+    // Version 2 job specs carried an engine byte; a v2 client must be
+    // turned away before it can submit one.
+    let mut server = spawn(ServerConfig::default()).unwrap();
+    let mut stream = raw_connect(server.addr());
+    let (tag, payload) = Request::Hello {
+        magic: MAGIC,
+        version: VERSION - 1,
+    }
+    .encode();
+    stream.write_all(&encode_frame(tag, &payload)).unwrap();
+    let replies = drain_replies(&mut stream);
+    assert!(
+        replies
+            .iter()
+            .any(|r| matches!(r, Reply::Error { code, .. } if *code == ERR_BAD_REQUEST)),
+        "a v{} hello must earn a typed error: {replies:?}",
+        VERSION - 1
+    );
+    assert!(!replies.iter().any(|r| matches!(r, Reply::HelloAck { .. })));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_length_prefix_is_refused_before_any_payload() {
     let mut server = spawn(ServerConfig::default()).unwrap();
     let mut stream = raw_connect(server.addr());

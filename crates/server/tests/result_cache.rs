@@ -1,14 +1,11 @@
 //! Result-cache behaviour through the whole service: single-flight
 //! deduplication (counter-verified), LRU eviction under a tiny byte
 //! budget, and a shrinking property test that cached and fresh reports
-//! are bit-identical across engine kinds.
+//! are bit-identical.
 
-use sctc_core::EngineKind;
+use sctc_server::cache::CacheWeight;
 use sctc_server::job::run_job;
-use sctc_server::{
-    spawn, Client, JobOptions, JobOutcome, JobSpec, ServerConfig, Served,
-};
-use sctc_temporal::CacheWeight;
+use sctc_server::{spawn, Client, JobOptions, JobOutcome, JobSpec, Served, ServerConfig};
 
 fn stat(pairs: &[(String, u64)], name: &str) -> u64 {
     pairs
@@ -107,7 +104,7 @@ fn lru_eviction_under_a_tiny_byte_budget() {
 }
 
 #[test]
-fn cached_and_fresh_reports_are_bit_identical_across_engine_kinds() {
+fn cached_and_fresh_reports_are_bit_identical() {
     let mut server = spawn(ServerConfig::default()).expect("bind server");
     let addr = server.addr();
 
@@ -117,39 +114,17 @@ fn cached_and_fresh_reports_are_bit_identical_across_engine_kinds() {
             |src| {
                 let cases = src.u64_in(5, 25);
                 let seed = src.u64_in(0, u64::MAX / 2);
-                let engine = src.pick(&[
-                    EngineKind::Table,
-                    EngineKind::Naive,
-                    EngineKind::Lazy,
-                    EngineKind::Compiled,
-                ]);
                 let kind = src.u64_in(0, 2);
-                (cases, seed, engine, kind)
+                (cases, seed, kind)
             },
-            |&(cases, seed, engine, kind)| {
+            |&(cases, seed, kind)| {
                 let spec = match kind {
-                    0 => {
-                        let JobSpec::Campaign(mut j) =
-                            JobSpec::small_campaign(cases, seed)
-                        else {
-                            unreachable!()
-                        };
-                        j.engine = engine;
-                        JobSpec::Campaign(j)
-                    }
-                    1 => {
-                        let JobSpec::Faults(mut j) = JobSpec::small_faults(cases, seed)
-                        else {
-                            unreachable!()
-                        };
-                        j.engine = engine;
-                        JobSpec::Faults(j)
-                    }
+                    0 => JobSpec::small_campaign(cases, seed),
+                    1 => JobSpec::small_faults(cases, seed),
                     _ => {
                         let JobSpec::Smc(mut j) = JobSpec::planted_smc(20, seed) else {
                             unreachable!()
                         };
-                        j.engine = engine;
                         j.max_samples = 60;
                         JobSpec::Smc(j)
                     }

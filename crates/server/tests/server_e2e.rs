@@ -115,39 +115,6 @@ fn scenario_jobs_stream_witnesses_and_vcd() {
 }
 
 #[test]
-fn engine_variants_share_one_cache_entry() {
-    let mut server = local_server();
-    let mut client = Client::connect(server.addr()).unwrap();
-    let table = JobSpec::small_campaign(40, 99);
-    let JobSpec::Campaign(mut job) = table.clone() else {
-        unreachable!()
-    };
-    job.engine = sctc_core::EngineKind::Lazy;
-    let lazy = JobSpec::Campaign(job);
-
-    let JobOutcome::Done { served, digest, .. } =
-        client.submit(&table, &JobOptions::default()).unwrap()
-    else {
-        panic!("table job must finish");
-    };
-    assert_eq!(served, Served::Cold);
-
-    // The engine-equivalence suites guarantee identical fingerprints, so
-    // a Lazy request is a legitimate hit on the Table entry.
-    let JobOutcome::Done {
-        served: lazy_served,
-        digest: lazy_digest,
-        ..
-    } = client.submit(&lazy, &JobOptions::default()).unwrap()
-    else {
-        panic!("lazy job must finish");
-    };
-    assert_eq!(lazy_served, Served::Hit);
-    assert_eq!(lazy_digest, digest);
-    server.shutdown();
-}
-
-#[test]
 fn deadline_returns_typed_timeout_and_the_connection_survives() {
     let mut server = local_server();
     let mut client = Client::connect(server.addr()).unwrap();

@@ -26,7 +26,7 @@ use faults::{
     run_fault_unit, DetectionMatrix, EswProgram, FaultPlan, FaultUnitSpec, ShardMatrix,
 };
 use sctc_campaign::{resolve_jobs, run_shards_until, shard_plan, FlowKind};
-use sctc_core::{trace, EngineKind};
+use sctc_core::trace;
 use sctc_temporal::Verdict;
 use stimuli::{derive_seed_salted, Stimulus};
 
@@ -155,8 +155,6 @@ pub struct SmcSpec {
     pub max_samples: u64,
     /// Sample bound of the recovery property.
     pub recovery_bound: u64,
-    /// Monitoring engine for the per-sample properties.
-    pub engine: EngineKind,
     /// Simulation-tick budget per sample.
     pub max_ticks: u64,
     /// Enables the span profiler in every sample.
@@ -177,7 +175,6 @@ impl SmcSpec {
             jobs: 0,
             max_samples: 0,
             recovery_bound: default_recovery_bound(flow),
-            engine: EngineKind::Table,
             max_ticks: u64::MAX / 2,
             profile: false,
         }
@@ -218,13 +215,6 @@ impl SmcSpec {
     /// Caps the sample budget (`0` = the query's Chernoff bound).
     pub fn with_max_samples(mut self, max_samples: u64) -> Self {
         self.max_samples = max_samples;
-        self
-    }
-
-    /// Sets the monitoring engine. Report fingerprints are engine-
-    /// independent: every engine must grade every sample identically.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -352,7 +342,6 @@ pub fn run_sample(spec: &SmcSpec, index: u64) -> ShardMatrix {
             };
             let obs = ScenarioObs {
                 profile: spec.profile,
-                engine: spec.engine,
                 ..ScenarioObs::default()
             };
             let (outcome, report) =
@@ -383,7 +372,6 @@ fn run_faults_member(
         request_seed: derive_seed_salted(spec.seed, SMC_REQ_SALT, key),
         cases: cases_per_sample,
         recovery_bound: spec.recovery_bound,
-        engine: spec.engine,
         max_ticks: spec.max_ticks,
         profile: spec.profile,
     };

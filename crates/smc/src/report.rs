@@ -133,7 +133,7 @@ impl SmcReport {
     /// FNV-1a over the canonical rendering — the same determinism contract
     /// as the campaign and fault-matrix fingerprints.
     pub fn fingerprint(&self) -> u64 {
-        sctc_temporal::fnv1a64(self.canonical().as_bytes())
+        sctc_campaign::fnv1a64(self.canonical().as_bytes())
     }
 
     /// Human-readable summary: the statistical answer, the efficiency

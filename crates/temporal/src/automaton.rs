@@ -284,12 +284,6 @@ impl ArAutomaton {
         self.columns
     }
 
-    /// The raw dense transition table, `state * columns + valuation`
-    /// (compiled-kernel lowering reads it verbatim).
-    pub(crate) fn transitions_raw(&self) -> &[u32] {
-        &self.transitions
-    }
-
     /// Wall-clock time spent inside the stutter-table branch of
     /// [`ArAutomaton::step_many_with_decision`] — the lazily amortized
     /// cost the eager builder used to pay up front.

@@ -5,15 +5,17 @@
 //!
 //! ```text
 //! property text ──parse──▶ Formula ──intern──▶ IL ──synthesize──▶ AR-automaton
-//!                                                 └──progress──▶ lazy Monitor
+//!                                                 └──progress──▶ reference Monitor
 //! ```
 //!
 //! * [`parse`] accepts FLTL (`G`, `F[<=b]`, `X`, `U`, `R`) and PSL-flavoured
 //!   spellings (`always`, `eventually!`, `next`, `until!`, `never`).
 //! * [`IlStore`](il::IlStore) is the hash-consed Intermediate Language.
-//! * [`ArAutomaton`] is the explicit 3-valued automaton; [`Monitor`] the lazy
-//!   progression engine. Both deliver [`Verdict::True`], [`Verdict::False`]
-//!   or [`Verdict::Pending`] on finite traces.
+//! * [`ArAutomaton`] is the explicit 3-valued automaton that
+//!   [`TableMonitor`] steps; [`SynthesisCache`] shares one automaton per
+//!   distinct formula. [`Monitor`] is the lazy progression reference the
+//!   tests check the automaton against. Both deliver [`Verdict::True`],
+//!   [`Verdict::False`] or [`Verdict::Pending`] on finite traces.
 //!
 //! ## Example
 //!
@@ -37,7 +39,6 @@
 mod ast;
 mod automaton;
 mod cache;
-mod compiled;
 mod eval;
 pub mod il;
 pub mod lexer;
@@ -49,11 +50,7 @@ mod verdict;
 
 pub use ast::{Formula, TimeBound};
 pub use automaton::{ArAutomaton, SynthesisError, SynthesisStats};
-pub use cache::{
-    fnv1a64, CacheStats, CacheWeight, FlightHandle, Lookup, ResultCache, ResultCacheStats,
-    SynthesisCache, WaitOutcome,
-};
-pub use compiled::{CompiledKernel, CompiledMonitor};
+pub use cache::{CacheStats, SynthesisCache};
 pub use eval::{eval, eval_at};
 pub use il::{IlError, IlStore, NodeId};
 pub use monitor::{Monitor, TableMonitor, TraceMonitor};

@@ -1,11 +1,13 @@
 //! Runtime monitors: the executable form of a property.
 //!
-//! Two engines share the [`TraceMonitor`] interface:
+//! Two monitors share the [`TraceMonitor`] interface:
 //!
-//! * [`Monitor`] progresses the IL formula lazily — no synthesis cost, state
-//!   grows on demand;
 //! * [`TableMonitor`] steps an explicitly synthesized [`ArAutomaton`] — all
-//!   cost paid at generation time, O(1) steps.
+//!   cost paid at generation time, O(1) steps. It is the engine every
+//!   checker runs.
+//! * [`Monitor`] progresses the IL formula lazily — no synthesis cost, state
+//!   grows on demand. It computes the same verdicts by a different route
+//!   and serves as the test suites' reference.
 //!
 //! Both latch their verdict: once decided, further steps cannot change it.
 
@@ -42,7 +44,8 @@ pub trait TraceMonitor {
     fn reset(&mut self);
 }
 
-/// A progression-based (lazy) monitor.
+/// A progression-based (lazy) monitor: the reference the table-driven
+/// engine is checked against.
 ///
 /// # Examples
 ///
@@ -64,9 +67,8 @@ pub struct Monitor {
     decided_at: Option<u64>,
     /// Progression memo: `(node, valuation) -> progressed node`. Sound
     /// because IL nodes are hash-consed (a `NodeId` names one immutable
-    /// term forever), so a repeated valuation — the stutter case the
-    /// change-driven pipeline feeds this engine — progresses in O(1)
-    /// instead of re-walking the formula DAG.
+    /// term forever), so a repeated valuation progresses in O(1) instead
+    /// of re-walking the formula DAG.
     memo: HashMap<(NodeId, Valuation), NodeId>,
     /// Scratch memo for a single progression call (cleared, not
     /// reallocated, per step).
@@ -107,34 +109,6 @@ impl Monitor {
         let next = progress_with(&mut self.store, self.current, valuation, &mut self.scratch);
         self.memo.insert((self.current, valuation), next);
         next
-    }
-
-    /// Consumes `n` identical-valuation observation steps at once —
-    /// behaviourally identical to `n` calls of [`TraceMonitor::step`],
-    /// including the recorded decision index (a run that decides at offset
-    /// `d <= n` advances the step count by `d`, matching
-    /// [`TableMonitor::step_many`]). An undecided progression fixpoint
-    /// (the common stutter case) short-circuits the remaining steps.
-    pub fn step_many(&mut self, valuation: Valuation, n: u64) -> Verdict {
-        if n == 0 || self.verdict().is_decided() {
-            return self.verdict();
-        }
-        for i in 1..=n {
-            let next = self.progress_current(valuation);
-            if next == self.current {
-                // Undecided fixpoint: further identical steps stay put.
-                self.steps += n;
-                return Verdict::Pending;
-            }
-            self.current = next;
-            if self.verdict().is_decided() {
-                self.steps += i;
-                self.decided_at = Some(self.steps);
-                return self.verdict();
-            }
-        }
-        self.steps += n;
-        Verdict::Pending
     }
 }
 
@@ -256,10 +230,10 @@ impl TableMonitor {
     /// [`TraceMonitor::step`], including the recorded decision index, but
     /// O(log n) through [`ArAutomaton::step_many_with_decision`].
     ///
-    /// The naive sampling loop stops stepping a monitor once it decides
-    /// (its step count freezes at the decision); `step_many` reproduces
-    /// that exactly: a run that decides at offset `d <= n` advances the
-    /// step count by `d`, not `n`.
+    /// A checker stops stepping a monitor once it decides (its step count
+    /// freezes at the decision); `step_many` reproduces that exactly: a run
+    /// that decides at offset `d <= n` advances the step count by `d`, not
+    /// `n`.
     pub fn step_many(&mut self, valuation: Valuation, n: u64) -> Verdict {
         if n == 0 || self.verdict().is_decided() {
             return self.verdict();
@@ -384,35 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_step_many_matches_single_steps_including_decision_index() {
-        let f = parse("G (a -> F[<=6] b)").unwrap();
-        for (prefix, v, n) in [
-            (vec![0b01u64], 0b00u64, 10u64), // trigger, then starve → False at offset 6
-            (vec![0b01], 0b00, 3),           // starve but stay pending
-            (vec![], 0b00, 50),              // idle progression fixpoint
-            (vec![0b01], 0b10, 4),           // immediate discharge
-        ] {
-            let mut single = Monitor::new(&f).unwrap();
-            let mut batched = Monitor::new(&f).unwrap();
-            for &p in &prefix {
-                single.step(p);
-                batched.step(p);
-            }
-            let mut last = single.verdict();
-            for _ in 0..n {
-                if last.is_decided() {
-                    break;
-                }
-                last = single.step(v);
-            }
-            batched.step_many(v, n);
-            assert_eq!(batched.verdict(), single.verdict());
-            assert_eq!(batched.steps(), single.steps());
-            assert_eq!(batched.decided_at(), single.decided_at());
-        }
-    }
-
-    #[test]
     fn lazy_memo_survives_reset_and_stays_correct() {
         let f = parse("F[<=40] p").unwrap();
         let mut m = Monitor::new(&f).unwrap();
@@ -423,7 +368,10 @@ mod tests {
         TraceMonitor::reset(&mut m);
         // The second run is answered from the (node, valuation) memo and
         // must land on the identical verdict and decision index.
-        assert_eq!(m.step_many(0b0, 100), Verdict::False);
+        for _ in 0..100 {
+            m.step(0b0);
+        }
+        assert_eq!(m.verdict(), Verdict::False);
         assert_eq!(m.decided_at(), Some(41));
     }
 

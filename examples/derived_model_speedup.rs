@@ -12,7 +12,6 @@
 
 use esw_verify::case_study::{run_derived_single, run_micro_single, ExperimentConfig, Op};
 use esw_verify::cpu::IsaKind;
-use esw_verify::sctc::EngineKind;
 
 fn main() {
     let config = ExperimentConfig {
@@ -20,7 +19,6 @@ fn main() {
         cases: 15,
         bound: None,
         fault_percent: 10,
-        engine: EngineKind::Table,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,

@@ -10,7 +10,6 @@
 
 use esw_verify::case_study::{run_derived, run_micro, ExperimentConfig, Op};
 use esw_verify::cpu::IsaKind;
-use esw_verify::sctc::EngineKind;
 
 fn main() {
     let base = ExperimentConfig {
@@ -18,7 +17,6 @@ fn main() {
         cases: 60,
         bound: Some(1000),
         fault_percent: 10,
-        engine: EngineKind::Table,
         isa: IsaKind::Word32,
         max_ticks: u64::MAX / 2,
         profile: false,

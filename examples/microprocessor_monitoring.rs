@@ -11,7 +11,7 @@
 //! ```
 
 use esw_verify::cpu::{assemble, share, CpuProcess, Memory, Soc};
-use esw_verify::sctc::{mem, share_sctc, EngineKind, EswMonitor, Sctc};
+use esw_verify::sctc::{mem, share_sctc, EswMonitor, Sctc};
 use esw_verify::sim::{Duration, Simulation};
 use esw_verify::temporal::{parse, Verdict};
 
@@ -53,13 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "lamp_eventually_on",
         &parse("F[<=40] lamp_on")?,
         vec![mem::word_eq("lamp_on", soc.clone(), 0x104, 1)],
-        EngineKind::Table,
     )?;
     sctc.add_property(
         "six_blinks",
         &parse("F[<=200] done_blinking")?,
         vec![mem::word_eq("done_blinking", soc.clone(), 0x108, 6)],
-        EngineKind::Table,
     )?;
     let sctc = share_sctc(sctc);
 

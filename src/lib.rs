@@ -49,7 +49,6 @@
 //!         esw::global_eq("armed", h.clone(), "mode", 1),
 //!         esw::global_eq("active", h.clone(), "mode", 2),
 //!     ],
-//!     EngineKind::Table,
 //! ).unwrap();
 //! let report = flow.run(Box::new(SingleRun::new()), 100_000).unwrap();
 //! assert_eq!(report.properties[0].verdict, Verdict::True);
@@ -98,7 +97,7 @@ pub use sctc_smc as smc;
 pub mod prelude {
     pub use crate::c::{self, Interp, VirtualMemory};
     pub use crate::cpu;
-    pub use crate::sctc::{esw, mem, DerivedModelFlow, EngineKind, MicroprocessorFlow, SingleRun};
+    pub use crate::sctc::{esw, mem, DerivedModelFlow, MicroprocessorFlow, SingleRun};
     pub use crate::sim::{Duration, SimTime, Simulation};
     pub use crate::temporal::{self, Verdict};
 }

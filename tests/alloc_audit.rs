@@ -1,11 +1,10 @@
-//! Steady-state allocation audit for the change-driven monitoring engines.
+//! Steady-state allocation audit for the change-driven monitoring pipeline.
 //!
 //! A counting `#[global_allocator]` proves that once a checker is warm —
-//! stutter-table levels filled, lazy-progression memo populated, compiled
-//! kernels lowered — `Sctc::sample()` performs **zero heap allocations**,
-//! clean and dirty samples alike. That is the contract that lets the
-//! monitor ride inside a simulation hot loop without disturbing the model
-//! it observes.
+//! the automaton's stutter-table levels filled — `Sctc::sample()`
+//! performs **zero heap allocations**, clean and dirty samples alike. That
+//! is the contract that lets the monitor ride inside a simulation hot loop
+//! without disturbing the model it observes.
 //!
 //! The counter is thread-local and gated by an explicit flag, so parallel
 //! test threads (and the libtest harness itself) cannot pollute the
@@ -16,7 +15,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use minic::{lower, parse as parse_c, share_interp, Interp, SharedInterp};
-use sctc_core::{esw, EngineKind, Proposition, Sctc};
+use sctc_core::{esw, Proposition, Sctc};
 use sctc_temporal::parse;
 
 thread_local! {
@@ -126,30 +125,28 @@ fn warm_driven_engines_sample_without_allocating() {
     // (dirty flushes, stutter compression) rather than a latched verdict.
     let f = parse("G (p0 -> F[<=4] p1)").expect("property parses");
 
-    for engine in [EngineKind::Table, EngineKind::Compiled, EngineKind::Lazy] {
-        let model = fresh_model();
-        let props: Vec<Box<dyn Proposition>> = vec![
-            esw::global_nonzero("p0", model.clone(), "g0"),
-            esw::global_nonzero("p1", model.clone(), "g1"),
-        ];
-        let mut sctc = Sctc::new();
-        sctc.add_property("resp", &f, props, engine).unwrap();
+    let model = fresh_model();
+    let props: Vec<Box<dyn Proposition>> = vec![
+        esw::global_nonzero("p0", model.clone(), "g0"),
+        esw::global_nonzero("p1", model.clone(), "g1"),
+    ];
+    let mut sctc = Sctc::new();
+    sctc.add_property("resp", &f, props).unwrap();
 
-        // Warm: 16 full periods reach the steady-state orbit (state count
-        // times stimulus phase bounds the orbit length well below this).
-        drive(&mut sctc, &model, 16, false);
-        // Measure: 8 more periods, counting every allocation made inside
-        // `sample()` — clean samples, dirty flushes, and monitor steps.
-        let allocs = drive(&mut sctc, &model, 8, true);
-        assert_eq!(
-            allocs, 0,
-            "{engine:?} allocated {allocs} times in the steady-state window"
-        );
-        assert!(
-            sctc.results()[0].verdict == sctc_temporal::Verdict::Pending,
-            "{engine:?}: stimulus must keep the property live"
-        );
-    }
+    // Warm: 16 full periods reach the steady-state orbit (state count
+    // times stimulus phase bounds the orbit length well below this).
+    drive(&mut sctc, &model, 16, false);
+    // Measure: 8 more periods, counting every allocation made inside
+    // `sample()` — clean samples, dirty flushes, and monitor steps.
+    let allocs = drive(&mut sctc, &model, 8, true);
+    assert_eq!(
+        allocs, 0,
+        "allocated {allocs} times in the steady-state window"
+    );
+    assert!(
+        sctc.results()[0].verdict == sctc_temporal::Verdict::Pending,
+        "stimulus must keep the property live"
+    );
 }
 
 /// The audit instrument itself must see allocations, or a green zero above

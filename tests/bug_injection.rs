@@ -19,7 +19,7 @@ use esw_verify::case_study::{
     Request, EEE_SOURCE,
 };
 use esw_verify::cpu::Soc;
-use esw_verify::sctc::{DerivedModelFlow, EngineKind, InterpDriver, MicroprocessorFlow, SocDriver};
+use esw_verify::sctc::{DerivedModelFlow, InterpDriver, MicroprocessorFlow, SocDriver};
 use esw_verify::temporal::Verdict;
 
 /// Builds the case-study IR from a mutated source.
@@ -121,7 +121,6 @@ fn stuck_state_machine_violates_bounded_response() {
         "Read",
         &response_property(Op::Read, Some(1000)),
         bind_derived(Op::Read, &h),
-        EngineKind::Table,
     )
     .expect("property binds");
     // Read of id 9 (not written) hits the buggy abort path and spins; cap
@@ -218,7 +217,6 @@ fn healthy_software_passes_the_same_checks() {
         "Read",
         &response_property(Op::Read, Some(1000)),
         bind_derived(Op::Read, &h),
-        EngineKind::Table,
     )
     .expect("property binds");
     let report = flow
@@ -374,7 +372,6 @@ fn run_matrix_derived(ir: Rc<esw_verify::c::ir::IrProgram>) -> Detection {
             &op.to_string(),
             &response_property(op, Some(1000)),
             bind_derived(op, &h),
-            EngineKind::Table,
         )
         .expect("property binds");
     }
@@ -425,13 +422,8 @@ fn run_matrix_micro(ir: Rc<esw_verify::c::ir::IrProgram>) -> Detection {
     let soc = flow.soc();
     for op in Op::ALL {
         let props = bind_micro(op, &soc, flow.compiled());
-        flow.add_property(
-            &op.to_string(),
-            &response_property(op, Some(20_000)),
-            props,
-            EngineKind::Table,
-        )
-        .expect("property binds");
+        flow.add_property(&op.to_string(), &response_property(op, Some(20_000)), props)
+            .expect("property binds");
     }
     let observed = Rc::new(RefCell::new(Vec::new()));
     let driver = MatrixSocDriver {

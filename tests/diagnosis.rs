@@ -2,10 +2,12 @@
 //! waveforms, end to end.
 //!
 //! * A shrinking property test drives random bounded formulas over random
-//!   dirty/clean traces through all three monitoring engines with witness
-//!   capture on, and asserts every captured witness **replays**: re-driving
-//!   a fresh AR-automaton with the recorded valuation runs reproduces the
-//!   verdict at the exact deciding sample.
+//!   dirty/clean traces through the checker with witness capture on, and
+//!   asserts every captured witness **replays**: re-driving a fresh
+//!   AR-automaton with the recorded valuation runs reproduces the verdict
+//!   at the exact deciding sample. The observed trace, replayed one sample
+//!   at a time through a fresh `TableMonitor` and through the progression
+//!   `Monitor`, must reach the same verdict at the same sample.
 //! * The fixed torn-write acceptance scenario must yield, on both flows, a
 //!   witness whose provenance names the deciding write and a VCD whose
 //!   `intact` verdict channel goes low at the deciding sample.
@@ -20,15 +22,15 @@ use esw_verify::c::{lower, parse as parse_c, share_interp, Interp, SharedInterp}
 use esw_verify::campaign::FlowKind;
 use esw_verify::faults::scenario::{run_scenario_observed, torn_write_ir, ScenarioObs};
 use esw_verify::faults::intact_property;
-use esw_verify::sctc::{esw, EngineKind, Proposition, Sctc, VcdValue, Witness, WitnessConfig};
-use esw_verify::temporal::{Formula, TableMonitor, Verdict};
+use esw_verify::sctc::{esw, Proposition, Sctc, VcdValue, Witness, WitnessConfig};
+use esw_verify::temporal::{Formula, Monitor, TableMonitor, TraceMonitor, Verdict};
 use testkit::{Checker, Source};
 
 const NPROPS: usize = 3;
 const MAX_BOUND: u64 = 16;
 const MAX_DEPTH: u32 = 4;
 /// Horizon of a depth-4 formula with bounds ≤ 16 plus slack, as in the
-/// engine-equivalence test.
+/// monitor-equivalence test.
 const TRACE_LEN: usize = 72;
 
 /// Random fully bounded formulas over `p0..p2`, depth ≤ `depth`.
@@ -97,9 +99,19 @@ fn bind_props(interp: &SharedInterp) -> Vec<Box<dyn Proposition>> {
         .collect()
 }
 
+/// Projects a trace valuation (bit `k` = `p<k>`) onto a monitor's
+/// proposition table.
+fn project(props: &[String], valuation: u64) -> u64 {
+    props.iter().enumerate().fold(0, |acc, (bit, name)| {
+        let k: usize = name[1..].parse().expect("p<i> names");
+        acc | (valuation >> k & 1) << bit
+    })
+}
+
 /// Replaying a witness against a fresh AR-automaton must reproduce the
-/// captured verdict at the captured sample index, for witnesses captured
-/// from every engine (table state, naive stepping, lazy progression).
+/// captured verdict at the captured sample index; so must replaying the
+/// whole observed trace one sample at a time through a fresh
+/// `TableMonitor` and through the progression `Monitor`.
 #[test]
 fn captured_witnesses_replay_to_the_same_decision() {
     Checker::new("captured_witnesses_replay_to_the_same_decision")
@@ -107,59 +119,84 @@ fn captured_witnesses_replay_to_the_same_decision() {
         .run(
             |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
             |(f, script)| {
-                let engines = [EngineKind::Table, EngineKind::Naive, EngineKind::Lazy];
-                for engine in engines {
-                    let model = fresh_model();
-                    let mut sctc = Sctc::new();
-                    sctc.enable_witnesses(WitnessConfig {
-                        window: 256,
-                        capture_true: true,
-                    });
-                    sctc.add_property("prop", f, bind_props(&model), engine)
-                        .expect("generated formula binds");
-                    for step in script {
-                        if let Some(v) = *step {
-                            let mut interp = model.borrow_mut();
-                            for bit in 0..NPROPS {
-                                interp.set_global_by_name(
-                                    &format!("g{bit}"),
-                                    i32::from(v & (1 << bit) != 0),
-                                );
-                            }
+                let model = fresh_model();
+                let mut sctc = Sctc::new();
+                sctc.enable_witnesses(WitnessConfig {
+                    window: 256,
+                    capture_true: true,
+                });
+                sctc.add_property("prop", f, bind_props(&model))
+                    .expect("generated formula binds");
+                let mut valuation = 0u64;
+                let mut trace = Vec::with_capacity(script.len());
+                for step in script {
+                    if let Some(v) = *step {
+                        valuation = v;
+                        let mut interp = model.borrow_mut();
+                        for bit in 0..NPROPS {
+                            interp.set_global_by_name(
+                                &format!("g{bit}"),
+                                i32::from(v & (1 << bit) != 0),
+                            );
                         }
-                        sctc.sample();
                     }
-                    let results = sctc.results();
-                    let witnesses = sctc.take_witnesses();
-                    if !results[0].verdict.is_decided() {
-                        assert!(
-                            witnesses.is_empty(),
-                            "{engine:?}: witness for an undecided property of {f}"
-                        );
-                        continue;
+                    trace.push(valuation);
+                    sctc.sample();
+                }
+                let results = sctc.results();
+                let witnesses = sctc.take_witnesses();
+
+                let mut table = TableMonitor::new(f).expect("synthesizable");
+                let mut progression = Monitor::new(f).expect("interns");
+                let references: [&mut dyn TraceMonitor; 2] = [&mut table, &mut progression];
+                for (name, monitor) in ["TableMonitor", "Monitor"].into_iter().zip(references) {
+                    // Like the checker, stop stepping once decided: a
+                    // formula decided before the first sample keeps
+                    // `decided_at == None`.
+                    for &v in &trace {
+                        if monitor.verdict().is_decided() {
+                            break;
+                        }
+                        monitor.step(project(monitor.props(), v));
                     }
-                    let [witness]: [Witness; 1] = witnesses
-                        .try_into()
-                        .unwrap_or_else(|w: Vec<_>| {
-                            panic!("{engine:?}: expected one witness for {f}, got {}", w.len())
-                        });
-                    assert!(
-                        witness.complete,
-                        "{engine:?}: a 256-run window must retain a {TRACE_LEN}-sample trace"
-                    );
-                    assert_eq!(witness.verdict, results[0].verdict, "{engine:?} for {f}");
-                    assert_eq!(witness.decided_at, results[0].decided_at, "{engine:?} for {f}");
-                    let mut fresh = TableMonitor::new(f).expect("synthesizable");
-                    let replay = witness.replay_with(&mut fresh);
                     assert_eq!(
-                        replay.verdict, witness.verdict,
-                        "{engine:?}: replayed verdict diverges for {f}"
+                        monitor.verdict(),
+                        results[0].verdict,
+                        "{name} replay verdict diverges for {f}"
                     );
                     assert_eq!(
-                        replay.decided_at, witness.decided_at,
-                        "{engine:?}: replayed decision sample diverges for {f}"
+                        monitor.decided_at(),
+                        results[0].decided_at,
+                        "{name} replay decision sample diverges for {f}"
                     );
                 }
+
+                if !results[0].verdict.is_decided() {
+                    assert!(
+                        witnesses.is_empty(),
+                        "witness for an undecided property of {f}"
+                    );
+                    return;
+                }
+                let [witness]: [Witness; 1] = witnesses.try_into().unwrap_or_else(|w: Vec<_>| {
+                    panic!("expected one witness for {f}, got {}", w.len())
+                });
+                assert!(
+                    witness.complete,
+                    "a 256-run window must retain a {TRACE_LEN}-sample trace"
+                );
+                assert_eq!(witness.verdict, results[0].verdict, "for {f}");
+                assert_eq!(witness.decided_at, results[0].decided_at, "for {f}");
+                let mut fresh = TableMonitor::new(f).expect("synthesizable");
+                let replay = witness.replay_with(&mut fresh);
+                assert_eq!(
+                    replay.verdict, witness.verdict,
+                    "replayed verdict diverges for {f}"
+                );
+                assert_eq!(
+                    replay.decided_at, witness.decided_at,
+                    "replayed decision sample diverges for {f}"
+                );
             },
         );
 }

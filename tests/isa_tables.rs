@@ -2,10 +2,11 @@
 //!
 //! Every encodable instruction must survive an encode→decode round trip
 //! under **both** encodings ([`IsaKind::Word32`] and [`IsaKind::Comp16`]),
-//! the table-driven `Word32` decoder must agree with the retired
-//! hand-written one on *every* 32-bit word, and every opcode outside the
-//! description table must decode to a typed [`DecodeError`] — never a
-//! panic — in both encodings. The testkit harness shrinks any failing
+//! and every opcode outside the description table must decode to a typed
+//! [`DecodeError`] — never a panic — in both encodings. (The table-driven
+//! `Word32` decoder's agreement with the retired hand-written one is a
+//! unit test of `sctc_cpu::isa`, where that decoder lives on as a test
+//! oracle.) The testkit harness shrinks any failing
 //! instruction or program.
 
 use esw_verify::cpu::isa::{op_desc, OpKind, ISA};
@@ -39,8 +40,7 @@ fn gen_instr(src: &mut Source<'_>) -> Instr {
 }
 
 /// Round trip under both encodings: `decode(encode(i)) == i` and
-/// `decode_c16(encode_c16(i)) == i`, and the legacy decoder agrees on the
-/// `Word32` word.
+/// `decode_c16(encode_c16(i)) == i`.
 #[test]
 fn every_instruction_round_trips_under_both_encodings() {
     Checker::new("every_instruction_round_trips_under_both_encodings")
@@ -48,11 +48,6 @@ fn every_instruction_round_trips_under_both_encodings() {
         .run(gen_instr, |&instr| {
             let word = instr.encode();
             assert_eq!(Instr::decode(word), Ok(instr), "word32 round trip");
-            assert_eq!(
-                Instr::decode_legacy(word),
-                Ok(instr),
-                "legacy decoder agrees"
-            );
             let (lo, hi) = instr.encode_c16();
             assert_eq!(
                 Instr::c16_ext(lo),
@@ -65,29 +60,6 @@ fn every_instruction_round_trips_under_both_encodings() {
                 "comp16 round trip"
             );
         });
-}
-
-/// The table decoder and the retired hand-written decoder are the same
-/// function on every 32-bit word — all 256 opcode bytes with exhaustive
-/// field corners, plus random words.
-#[test]
-fn table_decode_equals_legacy_decode_on_every_opcode() {
-    for opcode in 0u32..=255 {
-        for fields in [0u32, 0x00ff_ffff, 0x0012_3456, 0x00f0_0001, 0x000f_8000] {
-            let word = (opcode << 24) | fields;
-            assert_eq!(
-                Instr::decode(word),
-                Instr::decode_legacy(word),
-                "decoders disagree on {word:#010x}"
-            );
-        }
-    }
-    Checker::new("table_decode_equals_legacy_decode_on_random_words")
-        .cases(400)
-        .run(
-            |src| src.i32_in(i32::MIN, i32::MAX) as u32,
-            |&word| assert_eq!(Instr::decode(word), Instr::decode_legacy(word)),
-        );
 }
 
 /// Every opcode byte outside the description table yields a typed

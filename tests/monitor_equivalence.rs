@@ -1,22 +1,23 @@
-//! Engine-equivalence property test for the change-driven pipeline.
+//! Equivalence property test for the change-driven pipeline.
 //!
 //! Random bounded formulas (depth ≤ 4, bounds ≤ 16) are checked over random
 //! dirty/clean traces driven through *real model writes* — minic interpreter
-//! globals with registered write-path watches — so the change-driven engine
-//! exercises its whole stack: atom interning, dirty tracking, and stutter
-//! compression. Four full [`Sctc`] checkers (change-driven `Table`, `Naive`
-//! re-evaluation, memoized `Lazy` progression, and the `Compiled` kernel
-//! tier) must agree on the verdict **and** on the sample index the verdict
-//! was reached at, and the verdict must match an independent brute-force
-//! reading of the bounded-FLTL trace semantics.
+//! globals with registered write-path watches — so the checker exercises
+//! its whole stack: atom interning, dirty tracking, and stutter
+//! compression. The recorded valuation trace is then replayed one sample
+//! at a time through a fresh [`TableMonitor`] and through the progression
+//! [`Monitor`]; both must agree with the [`Sctc`] result on the verdict
+//! **and** on the sample index the verdict was reached at, and the verdict
+//! must match an independent brute-force reading of the bounded-FLTL trace
+//! semantics.
 //!
 //! The testkit harness shrinks any diverging (formula, trace) pair.
 
 use std::rc::Rc;
 
 use minic::{lower, parse as parse_c, share_interp, Interp, SharedInterp};
-use sctc_core::{esw, EngineKind, Proposition, Sctc};
-use sctc_temporal::{Formula, Verdict};
+use sctc_core::{esw, PropertyResult, Proposition, Sctc};
+use sctc_temporal::{Formula, Monitor, TableMonitor, TraceMonitor, Verdict};
 use testkit::{Checker, Source};
 
 const NPROPS: usize = 3;
@@ -137,6 +138,69 @@ fn bind_props(interp: &SharedInterp) -> Vec<Box<dyn Proposition>> {
         .collect()
 }
 
+/// Projects a trace valuation (bit `k` = `p<k>`) onto a monitor's
+/// proposition table.
+fn project(props: &[String], valuation: u64) -> u64 {
+    props.iter().enumerate().fold(0, |acc, (bit, name)| {
+        let k: usize = name[1..].parse().expect("p<i> names");
+        acc | (valuation >> k & 1) << bit
+    })
+}
+
+/// Replays a recorded valuation trace one sample at a time through a fresh
+/// [`TableMonitor`] and through the progression [`Monitor`], and asserts
+/// that both reach `result`'s verdict at `result`'s sample index. Like the
+/// checker, a replay stops stepping once decided, so a formula decided
+/// before the first sample keeps `decided_at == None`.
+fn assert_replays_match(f: &Formula, trace: &[u64], result: &PropertyResult) {
+    let mut table = TableMonitor::new(f).expect("generated formula synthesizes");
+    let mut progression = Monitor::new(f).expect("generated formula interns");
+    let references: [&mut dyn TraceMonitor; 2] = [&mut table, &mut progression];
+    for (name, monitor) in ["TableMonitor", "Monitor"].into_iter().zip(references) {
+        for &v in trace {
+            if monitor.verdict().is_decided() {
+                break;
+            }
+            monitor.step(project(monitor.props(), v));
+        }
+        assert_eq!(
+            monitor.verdict(),
+            result.verdict,
+            "{name} replay verdict diverges for {f}"
+        );
+        assert_eq!(
+            monitor.decided_at(),
+            result.decided_at,
+            "{name} replay decision sample diverges for {f}"
+        );
+    }
+}
+
+/// Writes valuation `v` into the model's globals `g0..`.
+fn write_valuation(model: &SharedInterp, v: u64, nprops: usize) {
+    let mut interp = model.borrow_mut();
+    for bit in 0..nprops {
+        let value = i32::from(v & (1 << bit) != 0);
+        interp.set_global_by_name(&format!("g{bit}"), value);
+    }
+}
+
+/// Drives `sctc` through a dirty/clean script over `model`, returning the
+/// valuation each sample observed.
+fn run_script(sctc: &mut Sctc, model: &SharedInterp, script: &[Option<u64>]) -> Vec<u64> {
+    let mut valuation = 0u64;
+    let mut trace = Vec::with_capacity(script.len());
+    for step in script {
+        if let Some(v) = *step {
+            valuation = v;
+            write_valuation(model, v, NPROPS);
+        }
+        trace.push(valuation);
+        sctc.sample();
+    }
+    trace
+}
+
 #[test]
 fn engines_agree_with_brute_force_on_dirty_clean_traces() {
     Checker::new("engines_agree_with_brute_force_on_dirty_clean_traces")
@@ -144,127 +208,40 @@ fn engines_agree_with_brute_force_on_dirty_clean_traces() {
         .run(
             |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
             |(f, script)| {
-                // One model + checker per engine so each engine's watch
-                // hooks observe exactly the same write sequence.
-                let engines = [
-                    EngineKind::Table,
-                    EngineKind::Naive,
-                    EngineKind::Lazy,
-                    EngineKind::Compiled,
-                ];
-                let models: Vec<SharedInterp> = engines.iter().map(|_| fresh_model()).collect();
-                let mut checkers: Vec<Sctc> = engines
-                    .iter()
-                    .zip(&models)
-                    .map(|(&engine, model)| {
-                        let mut sctc = Sctc::new();
-                        sctc.add_property("prop", f, bind_props(model), engine)
-                            .expect("generated formula binds");
-                        sctc
-                    })
-                    .collect();
-
+                let model = fresh_model();
+                let mut sctc = Sctc::new();
+                sctc.add_property("prop", f, bind_props(&model))
+                    .expect("generated formula binds");
                 // Replay the script, recording the valuation each sample
-                // actually observed for the brute-force oracle.
-                let mut valuation = 0u64;
-                let mut trace = Vec::with_capacity(script.len());
-                for step in script {
-                    if let Some(v) = *step {
-                        valuation = v;
-                        for model in &models {
-                            let mut interp = model.borrow_mut();
-                            for bit in 0..NPROPS {
-                                let name = format!("g{bit}");
-                                let value = i32::from(v & (1 << bit) != 0);
-                                interp.set_global_by_name(&name, value);
-                            }
-                        }
-                    }
-                    trace.push(valuation);
-                    for sctc in &mut checkers {
-                        sctc.sample();
-                    }
-                }
+                // actually observed for the references.
+                let trace = run_script(&mut sctc, &model, script);
 
                 let expected = holds(f, &trace, 0);
-                let results: Vec<_> = checkers.iter_mut().map(|s| s.results()).collect();
-                let reference = &results[0][0];
+                let result = &sctc.results()[0];
                 assert!(
-                    reference.verdict.is_decided(),
+                    result.verdict.is_decided(),
                     "bounded formula undecided after {TRACE_LEN} samples: {f}"
                 );
                 assert_eq!(
-                    reference.verdict == Verdict::True,
+                    result.verdict == Verdict::True,
                     expected,
                     "change-driven verdict disagrees with brute-force semantics for {f}"
                 );
-                for (engine, result) in engines.iter().zip(&results).skip(1) {
-                    assert_eq!(
-                        result[0].verdict, reference.verdict,
-                        "{engine:?} verdict diverges for {f}"
-                    );
-                    assert_eq!(
-                        result[0].decided_at, reference.decided_at,
-                        "{engine:?} decision sample diverges for {f}"
-                    );
-                }
-                // Counter sanity: the driven checker never reads more atoms
-                // than the naive bookkeeping says exist.
-                let counters = checkers[0].counters();
+                assert_replays_match(f, &trace, result);
+                // Counter sanity: the checker never reads more atoms than
+                // the per-sample bookkeeping says exist.
+                let counters = sctc.counters();
                 assert!(counters.atoms_evaluated <= counters.atoms_total);
             },
         );
 }
 
 #[test]
-fn lazy_and_compiled_engines_agree_under_fault_injection_and_smc_sampling() {
-    // Synthetic traces above prove the engines equivalent in vitro; this
-    // drives the lazy progression and compiled kernel engines through the
-    // *real* fault stack — bit flips, stuck-ats, power cuts tearing the
-    // ESW down mid-operation — and through a statistical campaign, and
-    // demands bit-identical matrices and reports against the change-driven
-    // default.
-    use esw_verify::faults::{run_fault_campaign, FaultCampaignSpec};
-    use esw_verify::smc::{run_smc_campaign, SmcSpec};
-    use sctc_campaign::FlowKind;
-
-    let campaign = FaultCampaignSpec::derived(40, 2008)
-        .with_chunk(8)
-        .with_fault_percent(50)
-        .with_jobs(2);
-    let table = run_fault_campaign(&campaign);
-    assert!(
-        table.matrix.records.iter().any(|r| r.fired),
-        "the campaign must actually inject faults for the probe to bite"
-    );
-    for engine in [EngineKind::Lazy, EngineKind::Compiled] {
-        let other = run_fault_campaign(&campaign.clone().with_engine(engine));
-        assert_eq!(
-            table.matrix.fingerprint(),
-            other.matrix.fingerprint(),
-            "{engine:?} fault matrix diverges from Table"
-        );
-    }
-
-    let smc = SmcSpec::planted_torn(FlowKind::Derived, 200, 2008)
-        .with_max_samples(60)
-        .with_jobs(2);
-    let table = run_smc_campaign(&smc);
-    for engine in [EngineKind::Lazy, EngineKind::Compiled] {
-        let other = run_smc_campaign(&smc.with_engine(engine));
-        assert_eq!(table.verdict, other.verdict, "{engine:?} verdict");
-        assert_eq!(table.samples, other.samples, "{engine:?} samples");
-        assert_eq!(table.fingerprint(), other.fingerprint(), "{engine:?}");
-    }
-}
-
-#[test]
 fn telemetry_on_and_off_runs_are_bit_identical() {
     // The trace plane's zero-cost discipline: flipping event emission on
     // or off must never reach a verdict, a sample count, or a fingerprint.
-    // Same real stacks as the engine-equivalence test above — change-driven
-    // campaign, fault injection, SMC sampling — each run twice around the
-    // global telemetry switch.
+    // Three real stacks — change-driven campaign, fault injection, SMC
+    // sampling — each run twice around the global telemetry switch.
     use esw_verify::faults::{run_fault_campaign, FaultCampaignSpec};
     use esw_verify::smc::{run_smc_campaign, SmcSpec};
     use sctc_campaign::{run_campaign, CampaignSpec, FlowKind};
@@ -310,90 +287,44 @@ fn telemetry_on_and_off_runs_are_bit_identical() {
 
 #[test]
 fn reused_checkers_stay_equivalent_across_reset() {
-    // `Sctc::reset` reuse: one checker per engine serves two cases in a
-    // row (with a reset and a model rewind between), and the second case
-    // must produce exactly the verdicts the first did — no pending stutter
-    // runs, memo state, or compiled cursor may leak across the reset.
+    // `Sctc::reset` reuse: one checker serves two cases in a row (with a
+    // reset and a model rewind between), and the second case must produce
+    // exactly the result the first did — no pending stutter run may leak
+    // across the reset — and both must match the per-sample replays.
     Checker::new("reused_checkers_stay_equivalent_across_reset")
         .cases(40)
         .run(
             |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
             |(f, script)| {
-                let engines = [
-                    EngineKind::Table,
-                    EngineKind::Naive,
-                    EngineKind::Lazy,
-                    EngineKind::Compiled,
-                ];
-                let models: Vec<SharedInterp> = engines.iter().map(|_| fresh_model()).collect();
-                let mut checkers: Vec<Sctc> = engines
-                    .iter()
-                    .zip(&models)
-                    .map(|(&engine, model)| {
-                        let mut sctc = Sctc::new();
-                        sctc.add_property("prop", f, bind_props(model), engine)
-                            .expect("generated formula binds");
-                        sctc
-                    })
-                    .collect();
+                let model = fresh_model();
+                let mut sctc = Sctc::new();
+                sctc.add_property("prop", f, bind_props(&model))
+                    .expect("generated formula binds");
 
-                let replay = |checkers: &mut Vec<Sctc>| {
-                    for step in script {
-                        if let Some(v) = *step {
-                            for model in &models {
-                                let mut interp = model.borrow_mut();
-                                for bit in 0..NPROPS {
-                                    let name = format!("g{bit}");
-                                    let value = i32::from(v & (1 << bit) != 0);
-                                    interp.set_global_by_name(&name, value);
-                                }
-                            }
-                        }
-                        for sctc in checkers.iter_mut() {
-                            sctc.sample();
-                        }
-                    }
-                    let results: Vec<(Verdict, Option<u64>)> = checkers
-                        .iter_mut()
-                        .map(|s| {
-                            let r = &s.results()[0];
-                            (r.verdict, r.decided_at)
-                        })
-                        .collect();
-                    results
-                };
-
-                let first = replay(&mut checkers);
-                // Rewind: checkers reset, models back to all-zero globals.
-                for sctc in &mut checkers {
-                    sctc.reset();
-                }
-                for model in &models {
-                    let mut interp = model.borrow_mut();
-                    for bit in 0..NPROPS {
-                        interp.set_global_by_name(&format!("g{bit}"), 0);
-                    }
-                }
-                let second = replay(&mut checkers);
+                let first_trace = run_script(&mut sctc, &model, script);
+                let first = sctc.results().remove(0);
+                // Rewind: checker reset, model back to all-zero globals.
+                sctc.reset();
+                write_valuation(&model, 0, NPROPS);
+                let second_trace = run_script(&mut sctc, &model, script);
+                let second = sctc.results().remove(0);
                 assert_eq!(
-                    first, second,
+                    (first.verdict, first.decided_at),
+                    (second.verdict, second.decided_at),
                     "a reset checker must replay case results bit-identically for {f}"
                 );
-                for (engine, pair) in engines.iter().zip(&second).skip(1) {
-                    assert_eq!(
-                        *pair, second[0],
-                        "{engine:?} diverges from Table after reset for {f}"
-                    );
-                }
+                assert_eq!(first_trace, second_trace);
+                assert_replays_match(f, &second_trace, &second);
             },
         );
 }
 
 #[test]
-fn wide_formula_exercises_the_packed_compiled_fallback() {
-    // 7 atoms → 128 transition columns → the compiled kernel's self-loop
-    // flags span two packed u64 words per state. All four engines must
-    // agree over real model writes that toggle the high-bit atoms.
+fn wide_formula_matches_the_per_sample_replays() {
+    // 7 atoms → 128 transition columns: the widest valuations the checker
+    // projects in this suite. The change-driven result must match both
+    // per-sample replays over real model writes that toggle the high-bit
+    // atoms.
     let nprops = 7usize;
     let src = (0..nprops)
         .map(|i| format!("int g{i} = 0; "))
@@ -403,54 +334,26 @@ fn wide_formula_exercises_the_packed_compiled_fallback() {
     let text = "G (p0 -> F[<=6] (p1 | p2 | p3 | p4 | p5 | p6))";
     let f = sctc_temporal::parse(text).expect("wide formula parses");
 
-    let engines = [
-        EngineKind::Table,
-        EngineKind::Naive,
-        EngineKind::Lazy,
-        EngineKind::Compiled,
-    ];
-    let models: Vec<SharedInterp> = engines
-        .iter()
-        .map(|_| share_interp(Interp::with_virtual_memory(ir.clone())))
+    let model = share_interp(Interp::with_virtual_memory(ir));
+    let props: Vec<Box<dyn Proposition>> = (0..nprops)
+        .map(|i| esw::global_nonzero(&format!("p{i}"), model.clone(), &format!("g{i}")))
         .collect();
-    let mut checkers: Vec<Sctc> = engines
-        .iter()
-        .zip(&models)
-        .map(|(&engine, model)| {
-            let props: Vec<Box<dyn Proposition>> = (0..nprops)
-                .map(|i| esw::global_nonzero(&format!("p{i}"), model.clone(), &format!("g{i}")))
-                .collect();
-            let mut sctc = Sctc::new();
-            sctc.add_property("wide", &f, props, engine).unwrap();
-            sctc
-        })
-        .collect();
+    let mut sctc = Sctc::new();
+    sctc.add_property("wide", &f, props).unwrap();
 
     // A deterministic script mixing dirty writes (some touching only the
     // high valuation bits 64..128) with clean stutter stretches.
     let mut lcg = 0x2008_0310_u64;
+    let mut valuation = 0u64;
+    let mut trace = Vec::new();
     for step in 0..400u32 {
         lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         if step % 3 == 0 {
-            let v = (lcg >> 33) & 0x7f;
-            for model in &models {
-                let mut interp = model.borrow_mut();
-                for bit in 0..nprops {
-                    let value = i32::from(v & (1 << bit) != 0);
-                    interp.set_global_by_name(&format!("g{bit}"), value);
-                }
-            }
+            valuation = (lcg >> 33) & 0x7f;
+            write_valuation(&model, valuation, nprops);
         }
-        for sctc in &mut checkers {
-            sctc.sample();
-        }
+        trace.push(valuation);
+        sctc.sample();
     }
-    let results: Vec<_> = checkers.iter_mut().map(|s| s.results()).collect();
-    for (engine, result) in engines.iter().zip(&results).skip(1) {
-        assert_eq!(result[0].verdict, results[0][0].verdict, "{engine:?}");
-        assert_eq!(
-            result[0].decided_at, results[0][0].decided_at,
-            "{engine:?} decision sample"
-        );
-    }
+    assert_replays_match(&f, &trace, &sctc.results()[0]);
 }

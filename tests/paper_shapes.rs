@@ -3,7 +3,6 @@
 
 use esw_verify::case_study::{run_derived_single, ExperimentConfig, Op};
 use esw_verify::cpu::IsaKind;
-use esw_verify::sctc::EngineKind;
 use sctc_bench::{fig7, spec_for, synthesis_stats_for_bound, Scale};
 
 fn tiny_scale() -> Scale {
@@ -47,7 +46,6 @@ fn fig8_shape_no_violations_and_coverage() {
                     cases: 60,
                     bound,
                     fault_percent: 10,
-                    engine: EngineKind::Table,
                     isa: IsaKind::Word32,
                     max_ticks: u64::MAX / 2,
                     profile: false,
@@ -65,7 +63,6 @@ fn fig8_shape_no_violations_and_coverage() {
             cases: 60,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -89,7 +86,6 @@ fn coverage_grows_with_test_cases() {
             cases: 4,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
@@ -102,7 +98,6 @@ fn coverage_grows_with_test_cases() {
             cases: 250,
             bound: Some(1000),
             fault_percent: 10,
-            engine: EngineKind::Table,
             isa: IsaKind::Word32,
             max_ticks: u64::MAX / 2,
             profile: false,
