@@ -5,49 +5,48 @@
 //!       [--smc] [--witness-demo] [--serve-bench]
 //!       [--telemetry-bench] [--all]
 //!       [--jobs N] [--micro-cases N] [--derived-cases N] [--seed S]
-//!       [--budget SECS] [--json PATH|--json=false] [--faults-json PATH]
-//!       [--smc-json PATH] [--server-json PATH]
-//!       [--obs-json PATH] [--telemetry-json PATH] [--trace-json PATH]
-//!       [--vcd PATH] [--profile]
+//!       [--budget SECS] [--out DIR] [--json=false] [--profile]
 //! ```
 //!
 //! With no table flags, `--all` is assumed. Numbers are scaled-down local
 //! measurements; compare shapes against the paper (see EXPERIMENTS.md).
 //! The simulation-based sections run as sharded campaigns over `--jobs`
 //! worker threads (default: all cores); the worker count changes
-//! wall-clock only, never a verdict or a coverage number. `--campaign`
-//! additionally writes the machine-readable `BENCH_campaign.json`;
-//! `--faults` runs the fault-injection campaigns of both flows, enforces
-//! that the serial and parallel detection matrices are fingerprint-
-//! identical, and writes `BENCH_faults.json`. `--smc` runs the
-//! statistical model-checking campaigns (Wald's SPRT over a planted
-//! failure rate), enforces that serial and parallel report fingerprints
-//! are identical *and* that the sequential test undercuts the
-//! fixed-sample Chernoff budget, and writes `BENCH_smc.json`.
-//! `--witness-demo` runs the torn-write
-//! power-loss scenario with the diagnosis layer on under both flows,
-//! prints the counterexample witnesses, validates the VCD round-trip and
-//! the witness replay, measures the span profiler's overhead, and writes
-//! `BENCH_obs.json` (plus the waveform to `--vcd PATH`). `--serve-bench`
-//! spawns the verification service over loopback, hammers it with
-//! closed-loop clients drawing a small repeat-heavy job pool, verifies
-//! every served digest against the same job run in-process, enforces that
-//! cache hits are at least 10x faster than cold runs, and writes
-//! `BENCH_server.json`. `--telemetry-bench` times the standard derived
-//! campaign with the trace plane disabled and enabled (min-of-10,
-//! alternating order), enforces that every on/off fingerprint pair is
-//! bit-identical, **fails the run if the enabled overhead exceeds 3%**,
-//! and writes `BENCH_telemetry.json` plus the flight-recorder log as
-//! chrome://tracing-loadable `trace.json`. `--json=false`
-//! suppresses every JSON artifact and leaves only the readable tables.
+//! wall-clock only, never a verdict or a coverage number.
+//!
+//! Six sections are measured and gated, and each writes its artifact
+//! into `--out DIR` (default `.`):
+//!
+//! | section | artifact | gates |
+//! |---|---|---|
+//! | `--campaign` | `BENCH_campaign.json` | campaign fingerprints equal at jobs=1 and jobs=N |
+//! | `--faults` | `BENCH_faults.json` | detection-matrix fingerprints equal at jobs=1 and jobs=N |
+//! | `--smc` | `BENCH_smc.json` | report fingerprints equal at jobs=1 and jobs=N; the SPRT decides, below the Chernoff budget |
+//! | `--witness-demo` | `BENCH_obs.json`, `out.vcd` | witness replay, VCD round-trip and provenance on both flows; profiling changes no fingerprint |
+//! | `--serve-bench` | `BENCH_server.json` | every served digest equals its in-process run; cache hits ≥ 10× faster than cold |
+//! | `--telemetry-bench` | `BENCH_telemetry.json`, `trace.json` | on/off fingerprints bit-identical; trace-plane overhead ≤ 3% (min-of-10) |
+//!
+//! `--witness-demo` runs the torn-write power-loss scenario with the
+//! diagnosis layer on under both flows, prints the counterexample
+//! witnesses, and measures the span profiler's overhead; `out.vcd` is the
+//! derived flow's waveform. `--serve-bench` spawns the verification
+//! service over loopback and hammers it with closed-loop clients drawing
+//! a small repeat-heavy job pool. `--telemetry-bench` times the standard
+//! derived campaign with the trace plane disabled and enabled; `trace.json`
+//! is the flight-recorder log in chrome://tracing format.
+//!
+//! A section that fails a gate writes no artifact; `repro` prints every
+//! failure at the end and exits with status 1, as it does when an
+//! artifact cannot be written. `--json=false` writes no files at all and
+//! leaves only the readable tables.
 
+use std::path::PathBuf;
 use std::time::Duration;
 
+use sctc_bench::json::Value;
 use sctc_bench::{
-    campaign_bench, faults_bench, fig7, fig8, obs_bench, render_campaign_bench_json,
-    render_chrome_trace, render_faults_bench_json, render_obs_json, render_server_bench_json,
-    render_smc_bench_json, render_telemetry_json, secs, serve_bench, smc_bench, speedup, tb_sweep,
-    telemetry_bench, witness_demo, Scale,
+    campaign_bench, chrome_trace, faults_bench, fig7, fig8, obs_bench, secs, serve_bench,
+    smc_bench, speedup, tb_sweep, telemetry_bench, witness_demo, Scale,
 };
 use sctc_campaign::resolve_jobs;
 
@@ -63,15 +62,7 @@ struct Args {
     serve: bool,
     telemetry: bool,
     profile: bool,
-    write_json: bool,
-    json_path: String,
-    faults_json_path: String,
-    smc_json_path: String,
-    server_json_path: String,
-    obs_json_path: String,
-    telemetry_json_path: String,
-    trace_json_path: String,
-    vcd_path: Option<String>,
+    out: Output,
     scale: Scale,
 }
 
@@ -88,17 +79,12 @@ fn parse_args() -> Args {
         serve: false,
         telemetry: false,
         profile: false,
-        write_json: true,
-        json_path: "BENCH_campaign.json".to_owned(),
-        faults_json_path: "BENCH_faults.json".to_owned(),
-        smc_json_path: "BENCH_smc.json".to_owned(),
-        server_json_path: "BENCH_server.json".to_owned(),
-        obs_json_path: "BENCH_obs.json".to_owned(),
-        telemetry_json_path: "BENCH_telemetry.json".to_owned(),
-        trace_json_path: "trace.json".to_owned(),
-        vcd_path: None,
+        out: Output {
+            dir: Some(PathBuf::from(".")),
+        },
         scale: Scale::default(),
     };
+    let mut write_json = true;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut next_u64 = |name: &str| -> u64 {
@@ -135,31 +121,10 @@ fn parse_args() -> Args {
             "--derived-cases" => args.scale.derived_cases = next_u64("--derived-cases"),
             "--seed" => args.scale.seed = next_u64("--seed"),
             "--budget" => args.scale.checker_budget = Duration::from_secs(next_u64("--budget")),
-            "--json=false" => args.write_json = false,
-            "--json=true" => args.write_json = true,
-            "--json" => {
-                args.json_path = it.next().expect("--json expects a path");
-            }
-            "--faults-json" => {
-                args.faults_json_path = it.next().expect("--faults-json expects a path");
-            }
-            "--smc-json" => {
-                args.smc_json_path = it.next().expect("--smc-json expects a path");
-            }
-            "--server-json" => {
-                args.server_json_path = it.next().expect("--server-json expects a path");
-            }
-            "--obs-json" => {
-                args.obs_json_path = it.next().expect("--obs-json expects a path");
-            }
-            "--telemetry-json" => {
-                args.telemetry_json_path = it.next().expect("--telemetry-json expects a path");
-            }
-            "--trace-json" => {
-                args.trace_json_path = it.next().expect("--trace-json expects a path");
-            }
-            "--vcd" => {
-                args.vcd_path = Some(it.next().expect("--vcd expects a path"));
+            "--json=false" => write_json = false,
+            "--json=true" => write_json = true,
+            "--out" => {
+                args.out.dir = Some(PathBuf::from(it.next().expect("--out expects a directory")));
             }
             "--help" | "-h" => {
                 println!(
@@ -167,10 +132,11 @@ fn parse_args() -> Args {
                      [--smc] [--witness-demo] [--serve-bench]\n      \
                      [--telemetry-bench] [--all] [--jobs N]\n      \
                      [--micro-cases N] [--derived-cases N] [--seed S] [--budget SECS]\n      \
-                     [--json PATH|--json=false] [--faults-json PATH] [--smc-json PATH]\n      \
-                     [--server-json PATH] [--obs-json PATH]\n      \
-                     [--telemetry-json PATH] [--trace-json PATH]\n      \
-                     [--vcd PATH] [--profile]"
+                     [--out DIR] [--json=false] [--profile]\n\n\
+                     Artifacts go into --out DIR (default .): BENCH_campaign.json,\n\
+                     BENCH_faults.json, BENCH_smc.json, BENCH_obs.json + out.vcd,\n\
+                     BENCH_server.json, BENCH_telemetry.json + trace.json.\n\
+                     --json=false writes no files."
                 );
                 std::process::exit(0);
             }
@@ -179,6 +145,9 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             }
         }
+    }
+    if !write_json {
+        args.out.dir = None;
     }
     if !(args.fig7
         || args.fig8
@@ -207,6 +176,7 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let out = &args.out;
     let jobs = resolve_jobs(args.scale.jobs);
     println!("Reproduction of \"Verification of Temporal Properties in Automotive");
     println!("Embedded Software\" (DATE 2008) — scaled local measurements.");
@@ -313,207 +283,113 @@ fn main() {
         );
     }
 
+    let mut failures = Vec::new();
+
     if args.campaign {
         println!("== Parallel campaigns: jobs=1 vs jobs={jobs} ==");
-        let rows = campaign_bench(args.scale);
-        println!(
-            "{:<8} {:<9} {:>5} {:>8} {:>9} {:>10} {:>10} {:>10} {:>6} {:>8}",
-            "flow",
-            "config",
-            "jobs",
-            "cases",
-            "wall(s)",
-            "synth(s)",
-            "cases/s",
-            "hit rate",
-            "viol",
-            "C.(%)"
+        let section = campaign_bench(args.scale);
+        let rows = rows(&section.doc, "rows");
+        print_table(
+            rows,
+            &[
+                "flow",
+                "config",
+                "jobs",
+                "test_cases",
+                "wall_s",
+                "synthesis_wall_s",
+                "cases_per_sec",
+                "cache_hit_rate",
+                "violations",
+                "coverage_percent",
+                "fingerprint",
+            ],
         );
-        for row in &rows {
-            println!(
-                "{:<8} {:<9} {:>5} {:>8} {:>9} {:>10} {:>10.0} {:>9.0}% {:>6} {:>8.1}",
-                row.flow,
-                row.config,
-                row.jobs,
-                row.test_cases,
-                secs(row.wall),
-                secs(row.synthesis_wall),
-                row.cases_per_sec,
-                100.0 * row.cache_hit_rate,
-                row.violations,
-                row.coverage
-            );
-        }
-        for (serial, parallel) in rows.iter().filter(|r| r.jobs == 1).filter_map(|s| {
-            rows.iter()
-                .find(|p| p.jobs != 1 && p.flow == s.flow && p.config == s.config)
-                .map(|p| (s, p))
-        }) {
-            println!(
-                "{} {}: {:.2}x speedup at jobs={} (identical verdicts/coverage by construction)",
-                serial.flow,
-                serial.config,
-                serial.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9),
-                parallel.jobs
-            );
-        }
-        if args.write_json {
-            let doc = render_campaign_bench_json(&rows);
-            match std::fs::write(&args.json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.json_path),
+        for serial in rows.iter().filter(|r| r["jobs"].as_f64() == Some(1.0)) {
+            let same = |p: &&Value| p["flow"] == serial["flow"] && p["config"] == serial["config"];
+            for parallel in rows
+                .iter()
+                .filter(same)
+                .filter(|p| p["jobs"] != serial["jobs"])
+            {
+                println!(
+                    "{} {}: {:.2}x speedup at jobs={}",
+                    cell(&serial["flow"]),
+                    cell(&serial["config"]),
+                    num(&serial["wall_s"]) / num(&parallel["wall_s"]).max(1e-9),
+                    cell(&parallel["jobs"])
+                );
             }
+        }
+        if gate(section.failures, &mut failures) {
+            println!("campaign fingerprints identical at jobs=1 and jobs={jobs}");
+            out.emit("BENCH_campaign.json", &section.doc);
         }
     }
 
     if args.faults {
         println!("== Fault injection & recovery: jobs=1 vs jobs={jobs} ==");
-        let rows = faults_bench(args.scale);
-        println!(
-            "{:<8} {:>5} {:>8} {:>9} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>8}",
-            "flow",
-            "jobs",
-            "cases",
-            "wall(s)",
-            "planned",
-            "fired",
-            "det",
-            "cuts",
-            "rec",
-            "corr",
-            "recovery",
-            "intact"
+        let section = faults_bench(args.scale);
+        print_table(
+            rows(&section.doc, "rows"),
+            &[
+                "flow",
+                "jobs",
+                "test_cases",
+                "wall_s",
+                "faults_planned",
+                "faults_fired",
+                "faults_detected",
+                "power_losses",
+                "recovered",
+                "records_corrupted",
+                "recovery_verdict",
+                "intact_verdict",
+                "matrix_fingerprint",
+            ],
         );
-        for row in &rows {
-            println!(
-                "{:<8} {:>5} {:>8} {:>9} {:>7} {:>6} {:>5} {:>5} {:>5} {:>5} {:>10} {:>8}",
-                row.flow,
-                row.jobs,
-                row.test_cases,
-                secs(row.wall),
-                row.planned,
-                row.fired,
-                row.detected,
-                row.power_losses,
-                row.recovered,
-                row.corrupted,
-                row.recovery_verdict,
-                row.intact_verdict
-            );
-        }
-        // Worker-count independence is a hard guarantee, not a hope:
-        // refuse to write benchmark artifacts from a broken merge.
-        let mut broken = false;
-        for serial in rows.iter().filter(|r| r.jobs == 1) {
-            for parallel in rows.iter().filter(|p| p.jobs != 1 && p.flow == serial.flow) {
-                if serial.fingerprint != parallel.fingerprint {
-                    eprintln!(
-                        "FAIL: {} fault matrix diverges between jobs=1 ({}) and jobs={} ({})",
-                        serial.flow, serial.fingerprint, parallel.jobs, parallel.fingerprint
-                    );
-                    broken = true;
-                } else {
-                    println!(
-                        "{}: matrix fingerprint {} identical at jobs=1 and jobs={}",
-                        serial.flow, serial.fingerprint, parallel.jobs
-                    );
-                }
-            }
-        }
-        if broken {
-            std::process::exit(1);
-        }
         println!("\n-- derived-flow detection matrix (jobs={jobs}) --");
         let report = faults::run_fault_campaign(
             &faults::FaultCampaignSpec::derived(args.scale.derived_cases, args.scale.seed)
                 .with_jobs(args.scale.jobs),
         );
         println!("{}", report.matrix.to_table());
-        if args.write_json {
-            let doc = render_faults_bench_json(&rows);
-            match std::fs::write(&args.faults_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.faults_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.faults_json_path),
-            }
+        if gate(section.failures, &mut failures) {
+            println!("matrix fingerprints identical at jobs=1 and jobs={jobs}");
+            out.emit("BENCH_faults.json", &section.doc);
         }
     }
 
     if args.smc {
-        println!("== Statistical model checking: SPRT vs Chernoff budget, jobs=1 vs jobs={jobs} ==");
-        let rows = smc_bench(args.scale);
         println!(
-            "{:<16} {:>6} {:>5} {:>10} {:>8} {:>8} {:>7} {:>8} {:>7} {:>6} {:>9}",
-            "query",
-            "theta",
-            "jobs",
-            "verdict",
-            "samples",
-            "chernoff",
-            "p_hat",
-            "issued",
-            "disc",
-            "wall",
-            "saved"
+            "== Statistical model checking: SPRT vs Chernoff budget, jobs=1 vs jobs={jobs} =="
         );
-        for row in &rows {
-            println!(
-                "{:<16} {:>6.3} {:>5} {:>10} {:>8} {:>8} {:>7.4} {:>8} {:>7} {:>6} {:>9}",
-                row.label,
-                row.theta,
-                row.jobs,
-                row.verdict,
-                row.samples,
-                row.chernoff_bound,
-                row.p_hat,
-                row.issued,
-                row.discarded,
-                secs(row.wall),
-                row.chernoff_bound.saturating_sub(row.samples)
-            );
-        }
-        // Two hard guarantees gate the artifact: the report must be
-        // worker-count independent, and the sequential test must actually
-        // beat the fixed-sample budget it exists to undercut.
-        let mut broken = false;
-        for serial in rows.iter().filter(|r| r.jobs == 1) {
-            for parallel in rows.iter().filter(|p| p.jobs != 1 && p.label == serial.label) {
-                if serial.fingerprint != parallel.fingerprint {
-                    eprintln!(
-                        "FAIL: {} report diverges between jobs=1 ({}) and jobs={} ({})",
-                        serial.label, serial.fingerprint, parallel.jobs, parallel.fingerprint
-                    );
-                    broken = true;
-                } else {
-                    println!(
-                        "{}: report fingerprint {} identical at jobs=1 and jobs={}",
-                        serial.label, serial.fingerprint, parallel.jobs
-                    );
-                }
-            }
-        }
-        for row in rows.iter().filter(|r| r.method == "sprt") {
-            if row.verdict == "undecided" {
-                eprintln!(
-                    "FAIL: {} left undecided after {} samples (budget {})",
-                    row.label, row.samples, row.chernoff_bound
-                );
-                broken = true;
-            }
-            if row.samples >= row.chernoff_bound {
-                eprintln!(
-                    "FAIL: {} spent {} samples, no better than the Chernoff bound {}",
-                    row.label, row.samples, row.chernoff_bound
-                );
-                broken = true;
-            }
-        }
-        if broken {
-            std::process::exit(1);
-        }
+        let section = smc_bench(args.scale);
+        let rows = rows(&section.doc, "rows");
+        print_table(
+            rows,
+            &[
+                "label",
+                "theta",
+                "jobs",
+                "verdict",
+                "samples",
+                "chernoff_bound",
+                "p_hat",
+                "issued",
+                "discarded",
+                "wall_s",
+                "samples_saved",
+                "report_fingerprint",
+            ],
+        );
         if let Some(row) = rows.first() {
             println!(
                 "\nearly stopping: {} decided \"{}\" in {} samples vs a {}-sample fixed budget",
-                row.label, row.verdict, row.samples, row.chernoff_bound
+                cell(&row["label"]),
+                cell(&row["verdict"]),
+                cell(&row["samples"]),
+                cell(&row["chernoff_bound"])
             );
         }
         println!("\n-- fails-direction report (jobs={jobs}) --");
@@ -527,19 +403,15 @@ fn main() {
             .with_jobs(args.scale.jobs),
         );
         println!("{}", report.to_table());
-        if args.write_json {
-            let doc = render_smc_bench_json(&rows);
-            match std::fs::write(&args.smc_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.smc_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.smc_json_path),
-            }
+        if gate(section.failures, &mut failures) {
+            println!("report fingerprints identical at jobs=1 and jobs={jobs}");
+            out.emit("BENCH_smc.json", &section.doc);
         }
     }
 
     if args.witness {
         println!("== Diagnosis layer: witnesses, VCD, profiler ==");
         let demos = witness_demo(args.profile);
-        let mut failed = false;
         for demo in &demos {
             println!(
                 "-- {} flow: intact violated={} decided@{} replay={} vcd={} provenance={} --",
@@ -558,147 +430,197 @@ fn main() {
                 print!("{}", demo.report.spans);
             }
             println!();
-            if !demo.ok() {
-                eprintln!("FAIL: {} flow diagnosis checks did not all pass", demo.flow);
-                failed = true;
-            }
         }
-        if let Some(path) = &args.vcd_path {
-            // The derived flow's waveform is the canonical artifact; the
-            // microprocessor flow's document was validated in memory.
-            let text = demos
-                .iter()
-                .find(|d| d.flow == "derived")
-                .map(|d| d.vcd_text.clone())
-                .unwrap_or_default();
-            match std::fs::write(path, &text) {
-                Ok(()) => println!("wrote {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
-        let obs = obs_bench(args.scale);
+        let section = obs_bench(args.scale, &demos);
+        let doc = &section.doc;
+        let overhead = &doc["profiler_overhead"];
         println!(
-            "profiler overhead: plain {} s, profiled {} s ({:+.2}% on {} cases; disabled = 0 by construction)",
-            secs(obs.plain_wall),
-            secs(obs.profiled_wall),
-            obs.overhead_percent,
-            obs.cases
+            "profiler overhead: plain {:.3} s, profiled {:.3} s ({:+.2}% on {} cases; disabled = 0 by construction)",
+            num(&overhead["plain_wall_s"]),
+            num(&overhead["profiled_wall_s"]),
+            num(&overhead["overhead_percent"]),
+            cell(&overhead["cases"])
         );
-        if !obs.spans.is_empty() {
+        let spans = rows(doc, "spans");
+        if !spans.is_empty() {
             println!("span profile (merged over shards):");
-            print!("{}", obs.spans);
+            print_table(spans, &["path", "count", "wall_s"]);
         }
         println!("metrics registry snapshot:");
-        print!("{}", obs.metrics);
-        if args.write_json {
-            let doc = render_obs_json(&obs, &demos);
-            match std::fs::write(&args.obs_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.obs_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.obs_json_path),
+        print_table(rows(doc, "metrics"), &["name", "type", "value"]);
+        if gate(section.failures, &mut failures) {
+            // The derived flow's waveform is the canonical artifact; the
+            // microprocessor flow's document was validated in memory.
+            if let Some(demo) = demos.iter().find(|d| d.flow == "derived") {
+                out.write("out.vcd", &demo.vcd_text);
             }
-        }
-        if failed {
-            std::process::exit(1);
+            out.emit("BENCH_obs.json", doc);
         }
     }
 
     if args.serve {
         println!("== Verification service: sustained load over loopback ==");
-        let report = serve_bench(args.scale);
+        let section = serve_bench(args.scale);
+        let doc = &section.doc;
         println!(
-            "{} clients x {} jobs over {} distinct specs: {:.1} jobs/s in {} s",
-            report.clients,
-            report.jobs_done / report.clients.max(1) as u64,
-            report.distinct_jobs,
-            report.jobs_per_sec,
-            secs(report.wall)
+            "{} clients x {:.0} jobs over {} distinct specs: {:.1} jobs/s in {:.3} s",
+            cell(&doc["clients"]),
+            num(&doc["jobs_done"]) / num(&doc["clients"]).max(1.0),
+            cell(&doc["distinct_jobs"]),
+            num(&doc["jobs_per_sec"]),
+            num(&doc["wall_s"])
         );
         println!(
             "served: {} cold, {} hit, {} coalesced (hit rate {:.1}%)",
-            report.colds,
-            report.hits,
-            report.coalesced,
-            report.hit_rate * 100.0
+            cell(&doc["colds"]),
+            cell(&doc["hits"]),
+            cell(&doc["coalesced"]),
+            num(&doc["hit_rate"]) * 100.0
         );
         println!(
             "latency: p50 {:.0} us, p99 {:.0} us; cold median {:.0} us, hit median {:.0} us ({:.1}x)",
-            report.p50.as_secs_f64() * 1e6,
-            report.p99.as_secs_f64() * 1e6,
-            report.cold_median.as_secs_f64() * 1e6,
-            report.hit_median.as_secs_f64() * 1e6,
-            report.speedup
+            num(&doc["p50_us"]),
+            num(&doc["p99_us"]),
+            num(&doc["cold_median_us"]),
+            num(&doc["hit_median_us"]),
+            num(&doc["hit_speedup"])
         );
         println!("server counters:");
-        for (name, value) in &report.stats {
-            println!("  {name} = {value}");
-        }
-        let mut broken = false;
-        if report.divergences > 0 {
-            eprintln!(
-                "FAIL: {} served digests diverged from in-process runs",
-                report.divergences
-            );
-            broken = true;
-        }
-        if report.hits == 0 {
-            eprintln!("FAIL: repeat-heavy workload produced no cache hits");
-            broken = true;
-        }
-        if report.speedup < 10.0 {
-            eprintln!(
-                "FAIL: cache-hit latency must be >= 10x lower than cold (got {:.1}x)",
-                report.speedup
-            );
-            broken = true;
-        }
-        if broken {
-            std::process::exit(1);
-        }
-        println!(
-            "(all {} served digests match their in-process runs; cache hits are {:.1}x faster than cold)",
-            report.jobs_done, report.speedup
-        );
-        if args.write_json {
-            let doc = render_server_bench_json(&report);
-            match std::fs::write(&args.server_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.server_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.server_json_path),
+        if let Value::Object(stats) = &doc["server_stats"] {
+            for (name, value) in stats {
+                println!("  {name} = {}", cell(value));
             }
+        }
+        if gate(section.failures, &mut failures) {
+            println!(
+                "(all {} served digests match their in-process runs; cache hits are {:.1}x faster than cold)",
+                cell(&doc["jobs_done"]),
+                num(&doc["hit_speedup"])
+            );
+            out.emit("BENCH_server.json", doc);
         }
     }
 
     if args.telemetry {
         println!("== Telemetry overhead: trace plane off vs on ==");
-        let report = telemetry_bench(args.scale);
+        let (section, events) = telemetry_bench(args.scale);
+        let doc = &section.doc;
         println!(
-            "{} cases: off {} s, on {} s ({:+.2}% overhead, min-of-10 alternating)",
-            report.cases,
-            secs(report.off_wall),
-            secs(report.on_wall),
-            report.overhead_percent
+            "{} cases: off {:.3} s, on {:.3} s ({:+.2}% overhead, min-of-10 alternating)",
+            cell(&doc["cases"]),
+            num(&doc["off_wall_s"]),
+            num(&doc["on_wall_s"]),
+            num(&doc["overhead_percent"])
         );
         println!(
-            "{} events recorded on the last enabled run; all on/off fingerprints bit-identical",
-            report.events.len()
+            "{} events recorded on the last enabled run",
+            cell(&doc["events_recorded"])
         );
-        if args.write_json {
-            let doc = render_telemetry_json(&report);
-            match std::fs::write(&args.telemetry_json_path, &doc) {
-                Ok(()) => println!("wrote {}", args.telemetry_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.telemetry_json_path),
-            }
-            let doc = render_chrome_trace(&report.events);
-            match std::fs::write(&args.trace_json_path, &doc) {
-                Ok(()) => println!("wrote {} (load in chrome://tracing)", args.trace_json_path),
-                Err(e) => eprintln!("could not write {}: {e}", args.trace_json_path),
-            }
+        if gate(section.failures, &mut failures) {
+            println!("all on/off fingerprints bit-identical");
+            out.emit("BENCH_telemetry.json", doc);
+            out.emit("trace.json", &chrome_trace(&events));
+            println!("(load trace.json in chrome://tracing)");
         }
-        if report.overhead_percent > 3.0 {
-            eprintln!(
-                "FAIL: telemetry overhead must stay <= 3% (got {:.2}%)",
-                report.overhead_percent
-            );
+    }
+
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("FAIL: {failure}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// Where artifacts go: the `--out` directory, or nowhere under
+/// `--json=false`.
+struct Output {
+    dir: Option<PathBuf>,
+}
+
+impl Output {
+    /// Writes one JSON artifact.
+    fn emit(&self, name: &str, doc: &Value) {
+        self.write(name, &doc.render());
+    }
+
+    /// Writes one artifact file, creating the directory if needed; a
+    /// failed write ends the run with exit status 1.
+    fn write(&self, name: &str, text: &str) {
+        let Some(dir) = &self.dir else { return };
+        let path = dir.join(name);
+        if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, text)) {
+            eprintln!("could not write {}: {e}", path.display());
             std::process::exit(1);
         }
+        println!("wrote {}", path.display());
+    }
+}
+
+/// Collects a section's gate failures into `failures`; `true` when the
+/// section passed. A failing section writes no artifacts.
+fn gate(section_failures: Vec<String>, failures: &mut Vec<String>) -> bool {
+    let passed = section_failures.is_empty();
+    failures.extend(section_failures);
+    passed
+}
+
+/// The array under `key`, or no rows.
+fn rows<'a>(doc: &'a Value, key: &str) -> &'a [Value] {
+    doc[key].as_array().unwrap_or(&[])
+}
+
+/// A number field, `NaN` when missing.
+fn num(value: &Value) -> f64 {
+    value.as_f64().unwrap_or(f64::NAN)
+}
+
+/// One table cell: integral numbers without a fraction, others to three
+/// decimals, `-` for null.
+fn cell(value: &Value) -> String {
+    match value {
+        Value::Null => "-".to_owned(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => format!("{}", *n as i64),
+        Value::Number(n) => format!("{n:.3}"),
+        Value::String(s) => s.clone(),
+        other => other.render().trim_end().to_owned(),
+    }
+}
+
+/// Prints `rows` as a table of the `keys` columns: the first column
+/// left-aligned, the rest right-aligned, each as wide as its widest cell.
+fn print_table(rows: &[Value], keys: &[&str]) {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| keys.iter().map(|key| cell(&row[key])).collect())
+        .collect();
+    let widths: Vec<usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| {
+            cells
+                .iter()
+                .map(|row| row[i].chars().count())
+                .fold(key.len(), usize::max)
+        })
+        .collect();
+    let print_line = |texts: &mut dyn Iterator<Item = &str>| {
+        let line: Vec<String> = texts
+            .zip(&widths)
+            .enumerate()
+            .map(|(i, (text, &width))| {
+                if i == 0 {
+                    format!("{text:<width$}")
+                } else {
+                    format!("{text:>width$}")
+                }
+            })
+            .collect();
+        println!("{}", line.join("  ").trim_end());
+    };
+    print_line(&mut keys.iter().copied());
+    for row in &cells {
+        print_line(&mut row.iter().map(String::as_str));
     }
 }

@@ -1,169 +1,14 @@
-//! A minimal JSON emitter and reader for machine-readable bench artifacts.
+//! The JSON document model of the machine-readable bench artifacts.
 //!
 //! The workspace builds with no registry access (CARGO_NET_OFFLINE), so
-//! there is no serde; this writer covers exactly what the bench documents
-//! need — objects, arrays, strings, finite numbers, null — and always
-//! produces valid, pretty-printed JSON. [`parse`] reads such documents
-//! back into a [`Value`] tree, so tests check structure, not spelling.
+//! there is no serde. Every artifact is built as one [`Value`] tree (the
+//! [`object!`](crate::object) macro keeps keys in the order written),
+//! serialized by [`Value::render`] as pretty-printed JSON, and read back
+//! by [`parse`], so tests check structure, not spelling.
 
-/// Streaming JSON writer. Call the structural methods in document order
-/// and [`JsonWriter::finish`] at the end.
-///
-/// ```
-/// use sctc_bench::json::JsonWriter;
-/// let mut w = JsonWriter::new();
-/// w.begin_object();
-/// w.key("answer");
-/// w.number(42.0);
-/// w.end_object();
-/// assert_eq!(w.finish(), "{\n  \"answer\": 42\n}\n");
-/// ```
-#[derive(Debug, Default)]
-pub struct JsonWriter {
-    out: String,
-    depth: usize,
-    /// Whether the current container already holds a value (a comma is
-    /// needed before the next one).
-    needs_comma: Vec<bool>,
-    /// A `key(...)` was emitted and awaits its value.
-    pending_key: bool,
-}
+use std::fmt::Write as _;
 
-impl JsonWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        JsonWriter::default()
-    }
-
-    fn newline_indent(&mut self) {
-        self.out.push('\n');
-        for _ in 0..self.depth {
-            self.out.push_str("  ");
-        }
-    }
-
-    fn before_value(&mut self) {
-        if self.pending_key {
-            self.pending_key = false;
-            return;
-        }
-        if let Some(needs_comma) = self.needs_comma.last_mut() {
-            if *needs_comma {
-                self.out.push(',');
-            }
-            *needs_comma = true;
-            self.newline_indent();
-        }
-    }
-
-    /// Starts an object (`{`).
-    pub fn begin_object(&mut self) {
-        self.before_value();
-        self.out.push('{');
-        self.depth += 1;
-        self.needs_comma.push(false);
-    }
-
-    /// Closes the innermost object (`}`).
-    pub fn end_object(&mut self) {
-        let had_values = self.needs_comma.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had_values {
-            self.newline_indent();
-        }
-        self.out.push('}');
-    }
-
-    /// Starts an array (`[`).
-    pub fn begin_array(&mut self) {
-        self.before_value();
-        self.out.push('[');
-        self.depth += 1;
-        self.needs_comma.push(false);
-    }
-
-    /// Closes the innermost array (`]`).
-    pub fn end_array(&mut self) {
-        let had_values = self.needs_comma.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had_values {
-            self.newline_indent();
-        }
-        self.out.push(']');
-    }
-
-    /// Emits an object key; the next call must emit its value.
-    pub fn key(&mut self, key: &str) {
-        self.before_value();
-        self.push_string(key);
-        self.out.push_str(": ");
-        self.pending_key = true;
-    }
-
-    /// Emits a string value.
-    pub fn string(&mut self, value: &str) {
-        self.before_value();
-        self.push_string(value);
-    }
-
-    /// Emits a number. Non-finite values become `null` (JSON has no
-    /// NaN/Inf); integral values print without a fraction.
-    pub fn number(&mut self, value: f64) {
-        self.before_value();
-        if !value.is_finite() {
-            self.out.push_str("null");
-        } else if value.fract() == 0.0 && value.abs() < 9.0e15 {
-            let _ = {
-                use std::fmt::Write as _;
-                write!(self.out, "{}", value as i64)
-            };
-        } else {
-            let _ = {
-                use std::fmt::Write as _;
-                write!(self.out, "{value}")
-            };
-        }
-    }
-
-    /// Emits `null`.
-    pub fn null(&mut self) {
-        self.before_value();
-        self.out.push_str("null");
-    }
-
-    /// Emits `true`/`false`.
-    pub fn boolean(&mut self, value: bool) {
-        self.before_value();
-        self.out.push_str(if value { "true" } else { "false" });
-    }
-
-    /// Returns the finished document with a trailing newline.
-    pub fn finish(mut self) -> String {
-        self.out.push('\n');
-        self.out
-    }
-
-    fn push_string(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    use std::fmt::Write as _;
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-}
-
-/// A parsed JSON value. Objects keep their keys in document order.
+/// A JSON value. Objects keep their keys in document order.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
@@ -180,7 +25,59 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
+/// Builds a [`Value::Object`] whose keys keep the order written; every
+/// value goes through `Value::from`.
+///
+/// ```
+/// use sctc_bench::object;
+/// let doc = object! { "answer" => 42u64, "bound" => None::<u64> };
+/// assert_eq!(doc.render(), "{\n  \"answer\": 42,\n  \"bound\": null\n}\n");
+/// ```
+#[macro_export]
+macro_rules! object {
+    ($($key:expr => $value:expr),* $(,)?) => {
+        $crate::json::Value::Object(vec![
+            $(($key.to_owned(), $crate::json::Value::from($value))),*
+        ])
+    };
+}
+
 impl Value {
+    /// Serializes the document: two-space indent, integral numbers
+    /// without a fraction, non-finite numbers as `null` (JSON has no
+    /// NaN/Inf), empty containers compact, and a trailing newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Number(n) if !n.is_finite() => out.push_str("null"),
+            Value::Number(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => {
+                let _ = write!(out, "{}", *n as i64);
+            }
+            Value::Number(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Value::String(s) => write_string(out, s),
+            Value::Array(items) => write_items(out, depth, ('[', ']'), items, |out, item| {
+                item.write(out, depth + 1);
+            }),
+            Value::Object(fields) => {
+                write_items(out, depth, ('{', '}'), fields, |out, (key, value)| {
+                    write_string(out, key);
+                    out.push_str(": ");
+                    value.write(out, depth + 1);
+                });
+            }
+        }
+    }
+
     /// The value under `key`, if this is an object that has it.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -212,6 +109,114 @@ impl Value {
             _ => None,
         }
     }
+}
+
+static NULL: Value = Value::Null;
+
+/// `doc["key"]` is the value under `key`, or `null` when this is not an
+/// object or has no such key.
+impl std::ops::Index<&str> for Value {
+    type Output = Value;
+
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).unwrap_or(&NULL)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Self {
+        Value::Bool(b)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(n: f64) -> Self {
+        Value::Number(n)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<usize> for Value {
+    fn from(n: usize) -> Self {
+        Value::Number(n as f64)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Self {
+        Value::String(s.to_owned())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Self {
+        Value::String(s)
+    }
+}
+
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl From<Vec<Value>> for Value {
+    fn from(items: Vec<Value>) -> Self {
+        Value::Array(items)
+    }
+}
+
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
+}
+
+/// Writes `open item, item close`, one item per line one level deeper;
+/// an empty container stays `[]` / `{}`.
+fn write_items<T>(
+    out: &mut String,
+    depth: usize,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline_indent(out, depth + 1);
+        item(out, x);
+    }
+    if !items.is_empty() {
+        newline_indent(out, depth);
+    }
+    out.push(close);
+}
+
+fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Parses one JSON document (surrounding whitespace allowed).
@@ -409,23 +414,15 @@ mod tests {
 
     #[test]
     fn renders_nested_document() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("rows");
-        w.begin_array();
-        w.begin_object();
-        w.key("name");
-        w.string("tb\"1000\"");
-        w.key("bound");
-        w.null();
-        w.key("ok");
-        w.boolean(true);
-        w.end_object();
-        w.end_array();
-        w.key("rate");
-        w.number(0.5);
-        w.end_object();
-        let doc = w.finish();
+        let doc = object! {
+            "rows" => vec![object! {
+                "name" => "tb\"1000\"",
+                "bound" => Value::Null,
+                "ok" => true,
+            }],
+            "rate" => 0.5,
+        }
+        .render();
         assert!(doc.contains("\"tb\\\"1000\\\"\""));
         assert!(doc.contains("\"bound\": null"));
         assert!(doc.contains("\"rate\": 0.5"));
@@ -434,12 +431,7 @@ mod tests {
 
     #[test]
     fn integral_numbers_have_no_fraction() {
-        let mut w = JsonWriter::new();
-        w.begin_array();
-        w.number(42.0);
-        w.number(f64::NAN);
-        w.end_array();
-        let doc = w.finish();
+        let doc = Value::Array(vec![42.0.into(), f64::NAN.into()]).render();
         assert!(doc.contains("42"), "{doc}");
         assert!(!doc.contains("42.0"), "{doc}");
         assert!(doc.contains("null"), "{doc}");
@@ -447,39 +439,29 @@ mod tests {
 
     #[test]
     fn empty_containers_stay_compact() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("rows");
-        w.begin_array();
-        w.end_array();
-        w.end_object();
-        assert_eq!(w.finish(), "{\n  \"rows\": []\n}\n");
+        let doc = object! { "rows" => Vec::<Value>::new() };
+        assert_eq!(doc.render(), "{\n  \"rows\": []\n}\n");
     }
 
     #[test]
     fn control_characters_are_escaped() {
-        let mut w = JsonWriter::new();
-        w.string("a\u{1}b\nc");
-        assert_eq!(w.finish(), "\"a\\u0001b\\nc\"\n");
+        assert_eq!(Value::from("a\u{1}b\nc").render(), "\"a\\u0001b\\nc\"\n");
     }
 
     #[test]
     fn reader_round_trips_the_writer() {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("name");
-        w.string("tb\"1000\"\n\u{1}é");
-        w.key("rows");
-        w.begin_array();
-        w.number(-1.5e-3);
-        w.number(42.0);
-        w.null();
-        w.boolean(false);
-        w.begin_object();
-        w.end_object();
-        w.end_array();
-        w.end_object();
-        let doc = parse(&w.finish()).expect("writer output parses");
+        let rendered = object! {
+            "name" => "tb\"1000\"\n\u{1}é",
+            "rows" => vec![
+                (-1.5e-3).into(),
+                42.0.into(),
+                Value::Null,
+                false.into(),
+                object! {},
+            ],
+        }
+        .render();
+        let doc = parse(&rendered).expect("writer output parses");
         assert_eq!(
             doc.get("name").and_then(Value::as_str),
             Some("tb\"1000\"\n\u{1}é")
@@ -499,6 +481,28 @@ mod tests {
             ]
         );
         assert_eq!(doc.get("missing"), None);
+        assert_eq!(doc["missing"], Value::Null);
+    }
+
+    #[test]
+    fn parse_inverts_render_on_a_nested_document() {
+        let doc = object! {
+            "schema" => "bench-test/v1",
+            "host_parallelism" => 2usize,
+            "rows" => vec![
+                object! {
+                    "flow" => "derived",
+                    "bound" => Some(1000u64),
+                    "rate" => 0.125,
+                    "tiny" => -2.5e-7,
+                    "ok" => true,
+                    "args" => object! { "nested" => vec![Value::Null, "\t\\".into()] },
+                },
+                object! { "flow" => "micro", "bound" => None::<u64>, "empty" => object! {} },
+            ],
+            "empty_rows" => Vec::<Value>::new(),
+        };
+        assert_eq!(parse(&doc.render()), Ok(doc));
     }
 
     #[test]

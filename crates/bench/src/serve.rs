@@ -18,11 +18,10 @@ use std::time::{Duration, Instant};
 
 use sctc_server::job::run_job;
 use sctc_server::{
-    spawn, Client, JobDigest, JobOptions, JobOutcome, JobSpec, ServerConfig, Served,
+    spawn, Client, JobDigest, JobOptions, JobOutcome, JobSpec, Served, ServerConfig,
 };
 
-use crate::json::JsonWriter;
-use crate::{resolve_jobs, Scale};
+use crate::{artifact, object, resolve_jobs, Scale, Section};
 
 /// One submission's measurement.
 #[derive(Clone, Debug)]
@@ -30,43 +29,6 @@ struct Sample {
     latency: Duration,
     served: Served,
     diverged: bool,
-}
-
-/// Aggregated results of the sustained-load run.
-#[derive(Clone, Debug)]
-pub struct ServerBenchReport {
-    /// Closed-loop client connections.
-    pub clients: usize,
-    /// Distinct job specs in the draw pool.
-    pub distinct_jobs: usize,
-    /// Total submissions completed.
-    pub jobs_done: u64,
-    /// Submissions served cold (led a flight).
-    pub colds: u64,
-    /// Submissions served from the finished cache.
-    pub hits: u64,
-    /// Submissions that joined an in-flight identical job.
-    pub coalesced: u64,
-    /// Digest mismatches against the in-process runs (must be 0).
-    pub divergences: u64,
-    /// `hits / jobs_done` — the repeat-traffic payoff.
-    pub hit_rate: f64,
-    /// Whole-run throughput.
-    pub jobs_per_sec: f64,
-    /// Wall clock of the whole campaign.
-    pub wall: Duration,
-    /// Latency percentiles over all submissions.
-    pub p50: Duration,
-    /// 99th percentile (worst-case tail: a cold run).
-    pub p99: Duration,
-    /// Median latency of cold submissions.
-    pub cold_median: Duration,
-    /// Median latency of cache-hit submissions.
-    pub hit_median: Duration,
-    /// `cold_median / hit_median` — the acceptance gate is ≥ 10.
-    pub speedup: f64,
-    /// The server's own counter snapshot at the end of the run.
-    pub stats: Vec<(String, u64)>,
 }
 
 fn percentile(sorted: &[Duration], pct: f64) -> Duration {
@@ -102,11 +64,14 @@ fn job_pool(scale: Scale) -> Vec<JobSpec> {
     pool
 }
 
-/// Runs the sustained-load scenario: spawn a loopback server, pre-compute
-/// the expected digest of every pool job in-process, then hammer the
-/// server with `clients` closed-loop connections drawing jobs with
-/// replacement, and verify every digest on the way back.
-pub fn serve_bench(scale: Scale) -> ServerBenchReport {
+/// Runs the sustained-load scenario — the `BENCH_server.json` section:
+/// spawn a loopback server, pre-compute the expected digest of every pool
+/// job in-process, then hammer the server with closed-loop client
+/// connections drawing jobs with replacement, and verify every digest on
+/// the way back. Gated on zero digest divergences, at least one cache
+/// hit, and a cache-hit median latency at least 10× below the cold
+/// median.
+pub fn serve_bench(scale: Scale) -> Section {
     const CLIENTS: usize = 4;
     const SUBMISSIONS_PER_CLIENT: u64 = 14;
 
@@ -196,79 +161,53 @@ pub fn serve_bench(scale: Scale) -> ServerBenchReport {
         0.0
     };
 
-    ServerBenchReport {
-        clients: CLIENTS,
-        distinct_jobs: pool.len(),
-        jobs_done,
-        colds,
-        hits,
-        coalesced,
-        divergences,
-        hit_rate: if jobs_done == 0 {
-            0.0
-        } else {
-            hits as f64 / jobs_done as f64
-        },
-        jobs_per_sec: if wall.as_secs_f64() > 0.0 {
-            jobs_done as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        },
-        wall,
-        p50: percentile(&all, 50.0),
-        p99: percentile(&all, 99.0),
-        cold_median,
-        hit_median,
-        speedup,
-        stats,
+    let mut failures = Vec::new();
+    if divergences > 0 {
+        failures.push(format!(
+            "{divergences} served digests diverged from in-process runs"
+        ));
     }
-}
-
-/// Renders the sustained-load report as the `BENCH_server.json` document.
-pub fn render_server_bench_json(report: &ServerBenchReport) -> String {
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("schema");
-    w.string("bench-server/v1");
-    w.key("host_parallelism");
-    w.number(resolve_jobs(0) as f64);
-    w.key("clients");
-    w.number(report.clients as f64);
-    w.key("distinct_jobs");
-    w.number(report.distinct_jobs as f64);
-    w.key("jobs_done");
-    w.number(report.jobs_done as f64);
-    w.key("colds");
-    w.number(report.colds as f64);
-    w.key("hits");
-    w.number(report.hits as f64);
-    w.key("coalesced");
-    w.number(report.coalesced as f64);
-    w.key("divergences");
-    w.number(report.divergences as f64);
-    w.key("hit_rate");
-    w.number(report.hit_rate);
-    w.key("jobs_per_sec");
-    w.number(report.jobs_per_sec);
-    w.key("wall_s");
-    w.number(report.wall.as_secs_f64());
-    w.key("p50_us");
-    w.number(report.p50.as_secs_f64() * 1e6);
-    w.key("p99_us");
-    w.number(report.p99.as_secs_f64() * 1e6);
-    w.key("cold_median_us");
-    w.number(report.cold_median.as_secs_f64() * 1e6);
-    w.key("hit_median_us");
-    w.number(report.hit_median.as_secs_f64() * 1e6);
-    w.key("hit_speedup");
-    w.number(report.speedup);
-    w.key("server_stats");
-    w.begin_object();
-    for (name, value) in &report.stats {
-        w.key(name);
-        w.number(*value as f64);
+    if hits == 0 {
+        failures.push("repeat-heavy workload produced no cache hits".to_owned());
     }
-    w.end_object();
-    w.end_object();
-    w.finish()
+    if speedup < 10.0 {
+        failures.push(format!(
+            "cache-hit latency must be >= 10x lower than cold (got {speedup:.1}x)"
+        ));
+    }
+    let micros = |d: Duration| d.as_secs_f64() * 1e6;
+    let stats = stats
+        .into_iter()
+        .map(|(name, value)| (name, value.into()))
+        .collect();
+    let doc = artifact(
+        "bench-server/v1",
+        object! {
+            "clients" => CLIENTS,
+            "distinct_jobs" => pool.len(),
+            "jobs_done" => jobs_done,
+            "colds" => colds,
+            "hits" => hits,
+            "coalesced" => coalesced,
+            "divergences" => divergences,
+            "hit_rate" => if jobs_done == 0 {
+                0.0
+            } else {
+                hits as f64 / jobs_done as f64
+            },
+            "jobs_per_sec" => if wall.as_secs_f64() > 0.0 {
+                jobs_done as f64 / wall.as_secs_f64()
+            } else {
+                0.0
+            },
+            "wall_s" => wall.as_secs_f64(),
+            "p50_us" => micros(percentile(&all, 50.0)),
+            "p99_us" => micros(percentile(&all, 99.0)),
+            "cold_median_us" => micros(cold_median),
+            "hit_median_us" => micros(hit_median),
+            "hit_speedup" => speedup,
+            "server_stats" => crate::json::Value::Object(stats),
+        },
+    );
+    Section { doc, failures }
 }
