@@ -259,7 +259,8 @@ pub fn check(
     }
 
     let (clauses, vars) = (exec.b.num_clauses(), exec.b.num_vars());
-    match exec.b.solve(exec.config.max_conflicts) {
+    let deadline = start.checked_add(exec.config.wall_budget);
+    match exec.b.solve_until(exec.config.max_conflicts, deadline) {
         SatResult::Sat(model) => {
             // Which disjunct fired? An unwinding assertion dominates: past
             // the bound the encoding no longer reflects the program.
@@ -283,7 +284,11 @@ pub fn check(
         }
         SatResult::Unsat => Ok(BmcOutcome::BoundedOk { clauses, vars }),
         SatResult::Unknown => Ok(BmcOutcome::ResourceOut {
-            reason: "SAT conflict budget exhausted".to_owned(),
+            reason: if start.elapsed() > exec.config.wall_budget {
+                "wall-clock budget exhausted during SAT solving".to_owned()
+            } else {
+                "SAT conflict budget exhausted".to_owned()
+            },
             elapsed: start.elapsed(),
         }),
     }

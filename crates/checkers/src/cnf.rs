@@ -4,6 +4,8 @@
 //! gate by gate: every gate output is a fresh literal constrained by its
 //! Tseitin clauses. Bit-vectors are little-endian `Vec<Lit>` of width 32.
 
+use std::time::Instant;
+
 use crate::sat::{Lit, SatResult, Solver};
 
 /// Bit-vector width used throughout (mini-C `int`).
@@ -100,6 +102,12 @@ impl CnfBuilder {
     /// Runs the solver with a conflict budget.
     pub fn solve(&mut self, max_conflicts: u64) -> SatResult {
         self.solver.solve(max_conflicts)
+    }
+
+    /// Runs the solver with a conflict budget and an optional deadline
+    /// (see [`Solver::solve_until`]).
+    pub fn solve_until(&mut self, max_conflicts: u64, deadline: Option<Instant>) -> SatResult {
+        self.solver.solve_until(max_conflicts, deadline)
     }
 
     /// Evaluates a bit-vector under a model.

@@ -6,6 +6,13 @@
 //! checker is its only demanding client.
 
 use std::fmt;
+use std::time::Instant;
+
+/// The solver reads the clock once per this many search rounds (each a
+/// conflict, a restart or a decision) when it runs against a deadline.
+/// Decisions count too: a decision scans every variable, so a long
+/// conflict-free stretch can outlast many conflicts.
+const DEADLINE_POLL: u64 = 64;
 
 /// A propositional variable (0-based).
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -64,7 +71,8 @@ pub enum SatResult {
     Sat(Vec<bool>),
     /// Unsatisfiable.
     Unsat,
-    /// The conflict budget ran out before a decision was reached.
+    /// The conflict budget or the deadline ran out before a decision was
+    /// reached.
     Unknown,
 }
 
@@ -454,6 +462,14 @@ impl Solver {
 
     /// Solves with a conflict budget; [`SatResult::Unknown`] when exceeded.
     pub fn solve(&mut self, max_conflicts: u64) -> SatResult {
+        self.solve_until(max_conflicts, None)
+    }
+
+    /// Like [`Solver::solve`], but also gives up with
+    /// [`SatResult::Unknown`] once `deadline` has passed. The clock is read
+    /// every [`DEADLINE_POLL`] search rounds, so the overshoot is a few
+    /// rounds' work.
+    pub fn solve_until(&mut self, max_conflicts: u64, deadline: Option<Instant>) -> SatResult {
         if self.unsat {
             return SatResult::Unsat;
         }
@@ -463,7 +479,14 @@ impl Solver {
         }
         let mut restart_limit = 100u64;
         let mut conflicts_since_restart = 0u64;
+        let mut rounds = 0u64;
         loop {
+            rounds += 1;
+            if rounds.is_multiple_of(DEADLINE_POLL) && deadline.is_some_and(|d| Instant::now() >= d)
+            {
+                self.backtrack(0);
+                return SatResult::Unknown;
+            }
             if let Some(conflict) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
@@ -593,6 +616,30 @@ mod tests {
         }
         assert_eq!(s.solve(1_000_000), SatResult::Unsat);
         assert!(s.stats().conflicts > 0);
+    }
+
+    #[test]
+    fn passed_deadline_gives_up_and_leaves_the_solver_usable() {
+        // 6 pigeons, 5 holes: unsat, but only after hundreds of conflicts.
+        let mut s = Solver::new();
+        let vars: Vec<Var> = (0..30).map(|_| s.new_var()).collect();
+        let v = |p: usize, h: usize| Lit::pos(vars[p * 5 + h]);
+        for p in 0..6 {
+            let holes: Vec<Lit> = (0..5).map(|h| v(p, h)).collect();
+            s.add_clause(&holes);
+        }
+        for h in 0..5 {
+            for p1 in 0..6 {
+                for p2 in (p1 + 1)..6 {
+                    s.add_clause(&[v(p1, h).negate(), v(p2, h).negate()]);
+                }
+            }
+        }
+        assert_eq!(
+            s.solve_until(u64::MAX, Some(Instant::now())),
+            SatResult::Unknown
+        );
+        assert_eq!(s.solve(u64::MAX), SatResult::Unsat);
     }
 
     #[test]

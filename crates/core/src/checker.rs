@@ -24,9 +24,9 @@
 //!    whose dirty set is empty re-reads **zero** atoms.
 //! 3. **Stutter compression** — samples whose (projected) valuation cannot
 //!    have changed are not stepped one-by-one; the checker accumulates
-//!    them and flushes the run through
-//!    [`TableMonitor::step_many`] (O(log n) via the automaton's
-//!    stutter-run tables) at the next change or verdict query.
+//!    them and flushes the run through [`TableMonitor::step_many`] (one
+//!    walk that stops at the first sink or undecided self-loop) at the
+//!    next change or verdict query.
 //!
 //! Verdicts and decision sample indices are those of stepping the
 //! automaton once per sample on a freshly evaluated valuation; the test

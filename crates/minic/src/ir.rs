@@ -2,8 +2,8 @@
 //!
 //! The IR is produced by the [type checker](crate::typeck) and consumed by
 //! the [interpreter](crate::interp), the [code generator](crate::codegen)
-//! and the [CFG builder](crate::cfg). Its two invariants matter to all of
-//! them:
+//! and the formal checkers, which walk it directly. Its two invariants
+//! matter to all of them:
 //!
 //! 1. **Calls are statements.** Nested calls are hoisted into temporaries by
 //!    the lowering pass, so expression evaluation is pure. This is what

@@ -245,6 +245,11 @@ impl WitnessRecorder {
     }
 
     /// Freezes the recording into a [`Witness`].
+    ///
+    /// A decided witness ends at its deciding sample. The engine defers
+    /// stutter steps and learns of a decision inside them only when it
+    /// flushes the run, so samples recorded past the decision are clipped:
+    /// the witness does not depend on when the verdict was read.
     pub fn finish(
         &self,
         property: &str,
@@ -253,12 +258,22 @@ impl WitnessRecorder {
         atom_names: Vec<String>,
         provenance: Vec<ProvenanceEntry>,
     ) -> Witness {
+        let last = decided_at.unwrap_or(u64::MAX);
+        let steps = self
+            .steps
+            .iter()
+            .filter(|s| s.first_sample <= last)
+            .map(|&s| WitnessStep {
+                repeat: s.repeat.min(last - s.first_sample + 1),
+                ..s
+            })
+            .collect();
         Witness {
             property: property.to_owned(),
             verdict,
             decided_at,
             atom_names,
-            steps: self.steps.iter().copied().collect(),
+            steps,
             complete: !self.evicted,
             provenance,
         }
@@ -296,6 +311,25 @@ mod tests {
         assert_eq!(w.steps[1].repeat, 2);
         assert_eq!(w.total_samples(), 5);
         assert!(w.complete);
+    }
+
+    #[test]
+    fn finish_clips_samples_recorded_past_the_decision() {
+        let mut rec = WitnessRecorder::new(16);
+        rec.record(0b1, Some(0));
+        rec.record(0b0, Some(0));
+        for _ in 0..10 {
+            rec.record_repeat();
+        }
+        let w = rec.finish("p", Verdict::False, Some(5), vec!["a".into()], vec![]);
+        assert_eq!(w.steps.len(), 2);
+        assert_eq!(w.steps[1].first_sample, 2);
+        assert_eq!(w.steps[1].repeat, 4);
+        assert_eq!(w.total_samples(), 5);
+        // A decision inside the first run drops every later run.
+        let w = rec.finish("p", Verdict::False, Some(1), vec!["a".into()], vec![]);
+        assert_eq!(w.steps.len(), 1);
+        assert_eq!(w.total_samples(), 1);
     }
 
     #[test]

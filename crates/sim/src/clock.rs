@@ -1,16 +1,15 @@
 //! Free-running clocks.
 //!
-//! A [`Clock`] drives a boolean signal and exposes posedge/negedge events.
+//! A [`Clock`] notifies posedge/negedge events on a fixed period.
 //! The microprocessor verification flow (paper Section 3.1) uses the clock's
 //! posedge as the timing reference for temporal properties.
 
 use crate::event::{Event, Notify};
 use crate::kernel::{ProcessContext, Simulation};
 use crate::process::Activation;
-use crate::signal::Signal;
 use crate::time::Duration;
 
-/// A periodic clock: signal plus edge events.
+/// A periodic clock: a pair of edge events.
 ///
 /// The first posedge occurs at time zero, then every `period` ticks. Negedges
 /// fall halfway through the period (rounded down, at least one tick after the
@@ -28,18 +27,12 @@ use crate::time::Duration;
 /// ```
 #[derive(Copy, Clone, Debug)]
 pub struct Clock {
-    signal: Signal<bool>,
     posedge: Event,
     negedge: Event,
     period: Duration,
 }
 
 impl Clock {
-    /// Returns the boolean clock signal.
-    pub fn signal(&self) -> Signal<bool> {
-        self.signal
-    }
-
     /// Returns the event fired on every rising edge.
     pub fn posedge(&self) -> Event {
         self.posedge
@@ -57,7 +50,6 @@ impl Clock {
 }
 
 struct ClockProc {
-    signal: Signal<bool>,
     posedge: Event,
     negedge: Event,
     high_time: Duration,
@@ -68,7 +60,6 @@ struct ClockProc {
 impl crate::process::Process for ClockProc {
     fn resume(&mut self, ctx: &mut ProcessContext<'_>) -> Activation {
         self.level = !self.level;
-        ctx.write(self.signal, self.level);
         if self.level {
             ctx.notify(self.posedge, Notify::Delta);
             Activation::WaitTime(self.high_time)
@@ -91,7 +82,6 @@ impl Simulation {
             period.ticks() >= 2,
             "clock period must be at least two ticks"
         );
-        let signal = self.create_signal(&format!("{name}.sig"), false);
         let posedge = self.create_event(&format!("{name}.posedge"));
         let negedge = self.create_event(&format!("{name}.negedge"));
         let high_time = Duration::from_ticks(period.ticks() / 2);
@@ -99,7 +89,6 @@ impl Simulation {
         self.spawn(
             &format!("{name}.gen"),
             Box::new(ClockProc {
-                signal,
                 posedge,
                 negedge,
                 high_time,
@@ -108,7 +97,6 @@ impl Simulation {
             }),
         );
         Clock {
-            signal,
             posedge,
             negedge,
             period,
@@ -128,16 +116,6 @@ mod tests {
         sim.run_until(SimTime::from_ticks(49)).unwrap();
         assert_eq!(sim.event_fire_count(clk.posedge()), 5); // 0,10,20,30,40
         assert_eq!(sim.event_fire_count(clk.negedge()), 5); // 5,15,25,35,45
-    }
-
-    #[test]
-    fn clock_signal_tracks_level() {
-        let mut sim = Simulation::new();
-        let clk = sim.create_clock("clk", Duration::from_ticks(10));
-        sim.run_until(SimTime::from_ticks(2)).unwrap();
-        assert!(sim.signal_value(clk.signal()));
-        sim.run_until(SimTime::from_ticks(7)).unwrap();
-        assert!(!sim.signal_value(clk.signal()));
     }
 
     #[test]

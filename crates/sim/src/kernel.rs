@@ -1,25 +1,20 @@
 //! The discrete-event simulation kernel.
 //!
-//! The scheduler follows SystemC's evaluate/update/notify structure:
+//! The scheduler follows SystemC's evaluate/notify structure:
 //!
 //! 1. **Evaluate** — resume every runnable process. Immediate notifications
 //!    wake processes within the same phase.
-//! 2. **Update** — apply pending signal writes; a changed value schedules the
-//!    signal's change event as a delta notification.
-//! 3. **Delta notify** — fire delta-notified events; woken processes run in
+//! 2. **Delta notify** — fire delta-notified events; woken processes run in
 //!    the next delta cycle at the same simulation time.
-//! 4. When no delta work remains, advance to the earliest timed notification.
+//! 3. When no delta work remains, advance to the earliest timed notification.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
-use std::marker::PhantomData;
 
 use crate::event::{Event, EventRecord, Notify};
 use crate::process::{Activation, ProcSlot, ProcState, Process, ProcessId};
-use crate::signal::{AnySignal, SigInner, Signal, SignalId, SignalValue};
 use crate::time::{Duration, SimTime};
-use crate::trace::Tracer;
 
 /// Why a [`Simulation::run`] call returned.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -83,7 +78,7 @@ impl KernelStats {
     }
 }
 
-/// The simulation kernel: owns events, signals, processes and the scheduler.
+/// The simulation kernel: owns events, processes and the scheduler.
 ///
 /// # Examples
 ///
@@ -100,17 +95,16 @@ pub struct Simulation {
     now: SimTime,
     events: Vec<EventRecord>,
     procs: Vec<ProcSlot>,
-    signals: Vec<Box<dyn AnySignal>>,
     runnable: VecDeque<ProcessId>,
     delta_notified: Vec<Event>,
-    update_queue: Vec<SignalId>,
+    /// Spare waiter list swapped in by `fire_event` (always empty here).
+    wake_scratch: Vec<ProcessId>,
     timed_events: BinaryHeap<Reverse<(SimTime, u64, Event)>>,
     timed_procs: BinaryHeap<Reverse<(SimTime, u64, ProcessId)>>,
     seq: u64,
     stop_requested: bool,
     delta_limit: u64,
     stats: KernelStats,
-    tracer: Tracer,
 }
 
 impl Default for Simulation {
@@ -126,17 +120,15 @@ impl Simulation {
             now: SimTime::ZERO,
             events: Vec::new(),
             procs: Vec::new(),
-            signals: Vec::new(),
             runnable: VecDeque::new(),
             delta_notified: Vec::new(),
-            update_queue: Vec::new(),
+            wake_scratch: Vec::new(),
             timed_events: BinaryHeap::new(),
             timed_procs: BinaryHeap::new(),
             seq: 0,
             stop_requested: false,
             delta_limit: 1_000_000,
             stats: KernelStats::default(),
-            tracer: Tracer::new(),
         }
     }
 
@@ -156,20 +148,8 @@ impl Simulation {
         self.stats
     }
 
-    /// Returns the signal-change tracer.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Bounds the signal trace to its most recent `cap` records
-    /// (ring-buffer mode, oldest dropped first); `None` restores
-    /// unbounded growth. See [`Tracer::set_capacity`].
-    pub fn set_trace_capacity(&mut self, cap: Option<usize>) {
-        self.tracer.set_capacity(cap);
-    }
-
     // ------------------------------------------------------------------
-    // Construction of events, signals, processes.
+    // Construction of events and processes.
     // ------------------------------------------------------------------
 
     /// Creates a named event.
@@ -190,70 +170,6 @@ impl Simulation {
     /// Returns how many times an event has fired so far.
     pub fn event_fire_count(&self, event: Event) -> u64 {
         self.events[event.index()].fired
-    }
-
-    /// Creates a named signal with an initial value.
-    pub fn create_signal<T: SignalValue>(&mut self, name: &str, initial: T) -> Signal<T> {
-        let changed = self.create_event(&format!("{name}.changed"));
-        let id = SignalId(self.signals.len() as u32);
-        self.signals.push(Box::new(SigInner {
-            name: name.to_owned(),
-            current: initial,
-            next: None,
-            changed,
-        }));
-        Signal {
-            id,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Returns the current value of a signal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle was created by a different simulation with an
-    /// incompatible value type.
-    pub fn signal_value<T: SignalValue>(&self, signal: Signal<T>) -> T {
-        self.sig_inner(signal).current.clone()
-    }
-
-    /// Returns the event that fires one delta after the signal changes value.
-    pub fn signal_changed_event<T: SignalValue>(&self, signal: Signal<T>) -> Event {
-        self.sig_inner(signal).changed
-    }
-
-    /// Overwrites a signal's value outside the scheduler (testbench
-    /// initialisation). Does not fire the change event.
-    pub fn force_signal<T: SignalValue>(&mut self, signal: Signal<T>, value: T) {
-        self.sig_inner_mut(signal).current = value;
-    }
-
-    fn sig_inner<T: SignalValue>(&self, signal: Signal<T>) -> &SigInner<T> {
-        self.signals[signal.id.index()]
-            .as_any()
-            .downcast_ref::<SigInner<T>>()
-            .expect("signal handle used with wrong value type")
-    }
-
-    fn sig_inner_mut<T: SignalValue>(&mut self, signal: Signal<T>) -> &mut SigInner<T> {
-        self.signals[signal.id.index()]
-            .as_any_mut()
-            .downcast_mut::<SigInner<T>>()
-            .expect("signal handle used with wrong value type")
-    }
-
-    /// Enables change tracing for a signal; see [`Tracer`].
-    pub fn trace_signal_id(&mut self, id: SignalId) {
-        let name = self.signals[id.index()].name().to_owned();
-        let value = self.signals[id.index()].value_string();
-        self.tracer.enable(id, name);
-        self.tracer.record(SimTime::ZERO, id, value);
-    }
-
-    /// Enables change tracing for a typed signal handle.
-    pub fn trace_signal<T: SignalValue>(&mut self, signal: Signal<T>) {
-        self.trace_signal_id(signal.id);
     }
 
     /// Spawns a process with no static sensitivity. The process is runnable
@@ -357,28 +273,35 @@ impl Simulation {
         let record = &mut self.events[event.index()];
         record.fired += 1;
         self.stats.events_fired += 1;
-        let waiters = std::mem::take(&mut record.waiters);
-        let static_sensitive = record.static_sensitive.clone();
-        for pid in waiters {
-            self.wake(pid, event);
+        // Swap the waiter list with the empty scratch buffer so both keep
+        // their capacity: a warm kernel fires events without allocating.
+        let mut waiters = std::mem::take(&mut self.wake_scratch);
+        std::mem::swap(&mut waiters, &mut record.waiters);
+        for &pid in &waiters {
+            self.wake(pid);
         }
-        for pid in static_sensitive {
+        waiters.clear();
+        self.wake_scratch = waiters;
+        // Waking only touches process slots, so the sensitivity list is
+        // stable while it is walked.
+        for i in 0..self.events[event.index()].static_sensitive.len() {
+            let pid = self.events[event.index()].static_sensitive[i];
             if self.procs[pid.index()].state == ProcState::WaitingStatic {
                 self.make_runnable(pid);
             }
         }
     }
 
-    fn wake(&mut self, pid: ProcessId, _cause: Event) {
-        let slot = &mut self.procs[pid.index()];
-        if slot.state != ProcState::WaitingEvents {
+    fn wake(&mut self, pid: ProcessId) {
+        if self.procs[pid.index()].state != ProcState::WaitingEvents {
             return;
         }
         // Deregister from any other events of a WaitAny.
-        let waits = std::mem::take(&mut slot.dynamic_waits);
-        for event in waits {
+        for i in 0..self.procs[pid.index()].dynamic_waits.len() {
+            let event = self.procs[pid.index()].dynamic_waits[i];
             self.events[event.index()].waiters.retain(|&p| p != pid);
         }
+        self.procs[pid.index()].dynamic_waits.clear();
         self.make_runnable(pid);
     }
 
@@ -418,7 +341,9 @@ impl Simulation {
         match activation {
             Activation::WaitEvent(event) => {
                 slot.state = ProcState::WaitingEvents;
-                slot.dynamic_waits = vec![event];
+                // `wake` empties the list before a waiting process runs.
+                debug_assert!(slot.dynamic_waits.is_empty());
+                slot.dynamic_waits.push(event);
                 self.events[event.index()].waiters.push(pid);
             }
             Activation::WaitAny(events) => {
@@ -430,10 +355,10 @@ impl Simulation {
                     return;
                 }
                 slot.state = ProcState::WaitingEvents;
-                slot.dynamic_waits = events.clone();
-                for event in events {
+                for &event in &events {
                     self.events[event.index()].waiters.push(pid);
                 }
+                slot.dynamic_waits = events;
             }
             Activation::WaitTime(d) => {
                 slot.state = ProcState::WaitingTime;
@@ -458,7 +383,7 @@ impl Simulation {
         }
     }
 
-    /// Runs one delta cycle: evaluate, update, delta-notify.
+    /// Runs one delta cycle: evaluate, then delta-notify.
     /// Returns `true` if any process was resumed.
     fn delta_cycle(&mut self) -> bool {
         if self.runnable.is_empty() {
@@ -472,20 +397,13 @@ impl Simulation {
                 break;
             }
         }
-        // Update phase.
-        let updates = std::mem::take(&mut self.update_queue);
-        for sid in updates {
-            if let Some(changed) = self.signals[sid.index()].apply_update() {
-                let value = self.signals[sid.index()].value_string();
-                self.tracer.record(self.now, sid, value);
-                self.delta_notified.push(changed);
-            }
+        // Delta-notification phase. Firing runs no process, so nothing
+        // is appended while the list is walked; clearing keeps its
+        // capacity for the next cycle.
+        for i in 0..self.delta_notified.len() {
+            self.fire_event(self.delta_notified[i]);
         }
-        // Delta-notification phase.
-        let notified = std::mem::take(&mut self.delta_notified);
-        for event in notified {
-            self.fire_event(event);
-        }
+        self.delta_notified.clear();
         true
     }
 
@@ -582,7 +500,6 @@ impl fmt::Debug for Simulation {
             .field("now", &self.now)
             .field("events", &self.events.len())
             .field("processes", &self.procs.len())
-            .field("signals", &self.signals.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -609,27 +526,6 @@ impl<'a> ProcessContext<'a> {
     /// Notifies an event.
     pub fn notify(&mut self, event: Event, kind: Notify) {
         self.sim.notify(event, kind);
-    }
-
-    /// Reads the current value of a signal (evaluate-phase semantics: writes
-    /// from this delta are not yet visible).
-    pub fn read<T: SignalValue>(&self, signal: Signal<T>) -> T {
-        self.sim.signal_value(signal)
-    }
-
-    /// Schedules a signal write for the update phase of this delta cycle.
-    pub fn write<T: SignalValue>(&mut self, signal: Signal<T>, value: T) {
-        let inner = self.sim.sig_inner_mut(signal);
-        let first_write = inner.next.is_none();
-        inner.next = Some(value);
-        if first_write {
-            self.sim.update_queue.push(signal.id);
-        }
-    }
-
-    /// Returns the change event of a signal, for use in wait activations.
-    pub fn changed_event<T: SignalValue>(&self, signal: Signal<T>) -> Event {
-        self.sim.signal_changed_event(signal)
     }
 
     /// Requests that the whole simulation stop at the end of this evaluate
@@ -691,106 +587,6 @@ mod tests {
         sim.run_to_completion().unwrap();
         assert_eq!(sim.now(), SimTime::from_ticks(5));
         assert!(sim.process_resume_count(pid) >= 2);
-    }
-
-    #[test]
-    fn signal_write_is_visible_one_delta_later() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", 0u32);
-        let mut observed_during_write = None;
-        let mut phase = 0;
-        sim.spawn(
-            "writer",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                phase += 1;
-                match phase {
-                    1 => {
-                        ctx.write(sig, 7);
-                        observed_during_write = Some(ctx.read(sig));
-                        Activation::WaitTime(Duration::ZERO)
-                    }
-                    _ => {
-                        assert_eq!(ctx.read(sig), 7, "update phase applies write");
-                        assert_eq!(
-                            observed_during_write,
-                            Some(0),
-                            "evaluate phase sees old value"
-                        );
-                        Activation::Terminate
-                    }
-                }
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.signal_value(sig), 7);
-    }
-
-    #[test]
-    fn last_write_in_delta_wins() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", 0u32);
-        sim.spawn(
-            "writer",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                ctx.write(sig, 1);
-                ctx.write(sig, 2);
-                Activation::Terminate
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.signal_value(sig), 2);
-    }
-
-    #[test]
-    fn signal_change_event_wakes_sensitive_process() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", false);
-        let changed = sim.signal_changed_event(sig);
-        let mut woken = 0u32;
-        let watcher = sim.spawn(
-            "watcher",
-            Box::new(move |_: &mut ProcessContext<'_>| {
-                woken += 1;
-                if woken >= 3 {
-                    Activation::Terminate
-                } else {
-                    Activation::WaitEvent(changed)
-                }
-            }),
-        );
-        let mut step = 0u32;
-        sim.spawn(
-            "driver",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                step += 1;
-                ctx.write(sig, step % 2 == 1);
-                if step >= 2 {
-                    Activation::Terminate
-                } else {
-                    Activation::WaitTime(Duration::from_ticks(1))
-                }
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        // Woken once at start, then by two value changes.
-        assert_eq!(sim.process_resume_count(watcher), 3);
-        assert!(sim.process_terminated(watcher));
-    }
-
-    #[test]
-    fn write_of_equal_value_does_not_fire_change_event() {
-        let mut sim = Simulation::new();
-        let sig = sim.create_signal("s", 5u32);
-        let changed = sim.signal_changed_event(sig);
-        sim.spawn(
-            "writer",
-            Box::new(move |ctx: &mut ProcessContext<'_>| {
-                ctx.write(sig, 5);
-                Activation::Terminate
-            }),
-        );
-        sim.run_to_completion().unwrap();
-        assert_eq!(sim.event_fire_count(changed), 0);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! * [`Event`]s with immediate / delta / timed notification ([`Notify`]),
 //! * cooperative [`Process`]es resumed by the kernel, yielding
 //!   [`Activation`]s (wait-on-event, wait-any, wait-for-time, static wait),
-//! * [`Signal`]s with evaluate/update (delta-cycle) semantics,
-//! * free-running [`Clock`]s with posedge/negedge events,
-//! * a value-change [`Tracer`].
+//! * free-running [`Clock`]s with posedge/negedge events.
 //!
 //! The scheduler is single-threaded and deterministic: given the same model
 //! and spawn order, runs are bit-for-bit reproducible.
@@ -51,14 +49,10 @@ mod clock;
 mod event;
 mod kernel;
 mod process;
-mod signal;
 mod time;
-mod trace;
 
 pub use clock::Clock;
 pub use event::{Event, Notify};
 pub use kernel::{KernelStats, ProcessContext, RunError, RunOutcome, Simulation};
 pub use process::{Activation, Process, ProcessId};
-pub use signal::{Signal, SignalId, SignalValue};
 pub use time::{Duration, SimTime};
-pub use trace::{TraceRecord, Tracer};

@@ -49,7 +49,7 @@ pub enum Activation {
 ///
 /// Implementors run a bounded amount of work per [`resume`](Process::resume)
 /// call and then return an [`Activation`]. All interaction with the kernel
-/// (event notification, signal access, time queries) goes through the
+/// (event notification, time queries, stop requests) goes through the
 /// [`ProcessContext`].
 ///
 /// # Examples

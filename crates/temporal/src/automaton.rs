@@ -12,8 +12,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration as WallDuration, Instant};
 
 use crate::ast::Formula;
@@ -91,7 +89,7 @@ pub struct SynthesisStats {
 /// assert_eq!(aut.verdict(state), Verdict::True);
 /// # Ok::<(), sctc_temporal::ParseError>(())
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ArAutomaton {
     props: Vec<String>,
     /// `transitions[state * columns + valuation]` = next state.
@@ -99,74 +97,6 @@ pub struct ArAutomaton {
     verdicts: Vec<Verdict>,
     columns: usize,
     stats: SynthesisStats,
-    /// Lazily built stutter-run tables, one per queried valuation (see
-    /// [`ArAutomaton::step_many`]). Interior-mutable so the automaton can
-    /// stay shared immutably through the synthesis cache; a `Mutex` (not
-    /// `RefCell`) keeps it `Sync` for the campaign worker threads.
-    stutter: Mutex<HashMap<Valuation, StutterTable>>,
-    /// Nanoseconds spent building/querying stutter tables (see
-    /// [`ArAutomaton::stutter_build_wall`]).
-    stutter_wall_ns: AtomicU64,
-}
-
-impl Clone for ArAutomaton {
-    fn clone(&self) -> Self {
-        ArAutomaton {
-            props: self.props.clone(),
-            transitions: self.transitions.clone(),
-            verdicts: self.verdicts.clone(),
-            columns: self.columns,
-            stats: self.stats,
-            // The stutter cache is a pure accelerator — a clone starts
-            // empty and rebuilds on demand.
-            stutter: Mutex::new(HashMap::new()),
-            stutter_wall_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Binary-lifting table for one valuation: `levels[k][s]` is the state
-/// reached from `s` after `2^k` steps under that fixed valuation.
-///
-/// Entries are filled **per state on first use** ([`UNFILLED`] sentinel),
-/// not eagerly for all states: a greedy descent only ever touches
-/// O(log n) states per query, so eager whole-level construction — one
-/// transition per state per level — dominated the cold-start cost of
-/// large automata for no benefit.
-#[derive(Debug)]
-struct StutterTable {
-    levels: Vec<Vec<u32>>,
-}
-
-/// Sentinel for a stutter-table entry not computed yet (state ids are
-/// capped at [`ArAutomaton::DEFAULT_STATE_LIMIT`], far below `u32::MAX`).
-const UNFILLED: u32 = u32::MAX;
-
-impl StutterTable {
-    /// Grows the (sentinel-filled) level vectors so jumps up to
-    /// `2^max_level` are addressable.
-    fn ensure_capacity(&mut self, max_level: usize, states: usize) {
-        while self.levels.len() <= max_level {
-            self.levels.push(vec![UNFILLED; states]);
-        }
-    }
-
-    /// The state reached from `s` after `2^k` steps, computing (and
-    /// memoizing) missing entries on demand from level `k - 1`.
-    fn get(&mut self, k: usize, s: u32, base: &impl Fn(u32) -> u32) -> u32 {
-        let cached = self.levels[k][s as usize];
-        if cached != UNFILLED {
-            return cached;
-        }
-        let value = if k == 0 {
-            base(s)
-        } else {
-            let mid = self.get(k - 1, s, base);
-            self.get(k - 1, mid, base)
-        };
-        self.levels[k][s as usize] = value;
-        value
-    }
 }
 
 impl ArAutomaton {
@@ -259,8 +189,6 @@ impl ArAutomaton {
             verdicts,
             columns,
             stats,
-            stutter: Mutex::new(HashMap::new()),
-            stutter_wall_ns: AtomicU64::new(0),
         })
     }
 
@@ -284,13 +212,6 @@ impl ArAutomaton {
         self.columns
     }
 
-    /// Wall-clock time spent inside the stutter-table branch of
-    /// [`ArAutomaton::step_many_with_decision`] — the lazily amortized
-    /// cost the eager builder used to pay up front.
-    pub fn stutter_build_wall(&self) -> WallDuration {
-        WallDuration::from_nanos(self.stutter_wall_ns.load(Ordering::Relaxed))
-    }
-
     /// Performs one transition.
     ///
     /// # Panics
@@ -309,101 +230,43 @@ impl ArAutomaton {
     }
 
     /// Advances `n` steps under one fixed valuation, returning the state
-    /// after the run — equivalent to `n` calls of [`ArAutomaton::step`],
-    /// but O(log n) via lazily built stutter-run tables and O(1) when the
-    /// state self-loops (the dominant "nothing changed" case).
+    /// after the run — equivalent to `n` calls of [`ArAutomaton::step`].
+    /// See [`ArAutomaton::step_many_with_decision`] for the cost.
     pub fn step_many(&self, state: u32, valuation: Valuation, n: u64) -> u32 {
         self.step_many_with_decision(state, valuation, n).0
     }
 
     /// Like [`ArAutomaton::step_many`], but also reports the 1-based
     /// offset of the **first** step at which the run reached a decided
-    /// sink, or `None` if the run ends undecided. Because the sinks are
-    /// absorbing, decidedness is monotone along the run, so the offset is
-    /// found by a binary-lifting descent; the returned state is the state
-    /// after the full `n` steps either way (the sink, once reached).
+    /// sink, or `None` if the run ends undecided. The returned state is
+    /// the state after the full `n` steps either way (the sink, once
+    /// reached).
     ///
     /// A run started in a decided state reports `Some(0)`.
+    ///
+    /// The walk stops at a decided sink or at an undecided self-loop
+    /// (any further identical steps stay put), so it costs at most
+    /// `min(n, distance to the first sink or fixed point)` transitions.
     pub fn step_many_with_decision(
         &self,
-        state: u32,
+        mut state: u32,
         valuation: Valuation,
         n: u64,
     ) -> (u32, Option<u64>) {
         if self.verdicts[state as usize].is_decided() {
             return (state, Some(0));
         }
-        if n == 0 {
-            return (state, None);
-        }
-        let first = self.step(state, valuation);
-        if self.verdicts[first as usize].is_decided() {
-            return (first, Some(1));
-        }
-        if first == state {
-            // Undecided self-loop: any number of further identical steps
-            // stays put. No table needed.
-            return (state, None);
-        }
-        let m = n - 1; // steps remaining from `first`
-        if m == 0 {
-            return (first, None);
-        }
-        if m < self.verdicts.len() as u64 {
-            // Building a lifting level costs one transition per state; when
-            // the run is shorter than the state count a plain walk is
-            // cheaper (typical for huge bounded-response automata whose
-            // stutter runs span a few hundred samples). Identical
-            // semantics: stop early on a sink or an undecided self-loop.
-            let mut cur = first;
-            for i in 0..m {
-                let next = self.step(cur, valuation);
-                if self.verdicts[next as usize].is_decided() {
-                    return (next, Some(i + 2));
-                }
-                if next == cur {
-                    return (cur, None);
-                }
-                cur = next;
+        for offset in 1..=n {
+            let next = self.step(state, valuation);
+            if self.verdicts[next as usize].is_decided() {
+                return (next, Some(offset));
             }
-            return (cur, None);
-        }
-        let max_level = (63 - m.leading_zeros()) as usize;
-        let t0 = Instant::now();
-        let mut cache = self.stutter.lock().expect("stutter cache poisoned");
-        let table = cache
-            .entry(valuation)
-            .or_insert(StutterTable { levels: Vec::new() });
-        table.ensure_capacity(max_level, self.verdicts.len());
-        let base = |s: u32| self.step(s, valuation);
-        // Greedy descent: find the largest `pos <= m` such that the state
-        // after `pos` steps from `first` is still undecided. Monotone
-        // because sinks absorb. Table entries fill lazily along the way.
-        let mut cur = first;
-        let mut pos = 0u64;
-        for k in (0..=max_level).rev() {
-            let jump = 1u64 << k;
-            if pos + jump > m {
-                continue;
+            if next == state {
+                break;
             }
-            let next = table.get(k, cur, &base);
-            if !self.verdicts[next as usize].is_decided() {
-                cur = next;
-                pos += jump;
-            }
+            state = next;
         }
-        let result = if pos == m {
-            (cur, None)
-        } else {
-            // The very next step decides; offsets count from `state`,
-            // where `first` sits at offset 1.
-            let sink = table.get(0, cur, &base);
-            (sink, Some(pos + 2))
-        };
-        drop(cache);
-        self.stutter_wall_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        result
+        (state, None)
     }
 }
 
@@ -532,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn step_many_is_logarithmic_on_long_bounded_runs() {
+    fn step_many_lands_exactly_on_long_bounded_runs() {
         // F[<=20000] p under p=false walks a 20k-state chain; one
         // step_many call must land exactly where 20k single steps would.
         let f = parse("F[<=20000] p").unwrap();
@@ -544,17 +407,5 @@ mod tests {
         let (state, decided) = aut.step_many_with_decision(ArAutomaton::INITIAL, 0b0, 20_000);
         assert_eq!(aut.verdict(state), Verdict::Pending);
         assert_eq!(decided, None);
-    }
-
-    #[test]
-    fn clone_starts_with_a_fresh_stutter_cache() {
-        let f = parse("F[<=50] p").unwrap();
-        let aut = ArAutomaton::synthesize(&f).unwrap();
-        let _ = aut.step_many(ArAutomaton::INITIAL, 0b0, 40);
-        let copy = aut.clone();
-        assert_eq!(
-            copy.step_many_with_decision(ArAutomaton::INITIAL, 0b0, 60),
-            aut.step_many_with_decision(ArAutomaton::INITIAL, 0b0, 60),
-        );
     }
 }

@@ -50,10 +50,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Wall-clock time spent synthesizing on misses.
     pub synthesis_wall: Duration,
-    /// Wall-clock time cached automata spent lazily building (and
-    /// querying) their binary-lifting stutter tables — cost the eager
-    /// builder used to pay per level, for every state, up front.
-    pub stutter_build_wall: Duration,
 }
 
 impl CacheStats {
@@ -77,9 +73,6 @@ impl CacheStats {
             misses: self.misses - earlier.misses,
             entries: self.entries,
             synthesis_wall: self.synthesis_wall.saturating_sub(earlier.synthesis_wall),
-            stutter_build_wall: self
-                .stutter_build_wall
-                .saturating_sub(earlier.stutter_build_wall),
         }
     }
 }
@@ -154,7 +147,6 @@ impl SynthesisCache {
             misses: inner.misses,
             entries: inner.entries.len(),
             synthesis_wall: inner.synthesis_wall,
-            stutter_build_wall: inner.entries.values().map(|a| a.stutter_build_wall()).sum(),
         }
     }
 

@@ -226,9 +226,10 @@ impl TableMonitor {
     }
 
     /// Consumes `n` identical-valuation observation steps at once —
-    /// behaviourally identical to `n` calls of
-    /// [`TraceMonitor::step`], including the recorded decision index, but
-    /// O(log n) through [`ArAutomaton::step_many_with_decision`].
+    /// behaviourally identical to `n` calls of [`TraceMonitor::step`],
+    /// including the recorded decision index — as one
+    /// [`ArAutomaton::step_many_with_decision`] walk, which stops at the
+    /// first sink or undecided self-loop.
     ///
     /// A checker stops stepping a monitor once it decides (its step count
     /// freezes at the decision); `step_many` reproduces that exactly: a run

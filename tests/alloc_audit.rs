@@ -1,10 +1,11 @@
-//! Steady-state allocation audit for the change-driven monitoring pipeline.
+//! Steady-state allocation audit for the simulation hot path.
 //!
-//! A counting `#[global_allocator]` proves that once a checker is warm —
-//! the automaton's stutter-table levels filled — `Sctc::sample()`
-//! performs **zero heap allocations**, clean and dirty samples alike. That
-//! is the contract that lets the monitor ride inside a simulation hot loop
-//! without disturbing the model it observes.
+//! A counting `#[global_allocator]` proves that once warm, the
+//! change-driven monitoring pipeline (`Sctc::sample()`, clean and dirty
+//! samples alike) and the simulation kernel's scheduling loop (delta
+//! notification, static and dynamic wake-ups, timed waits) perform **zero
+//! heap allocations**. That is the contract that lets the monitor ride
+//! inside a simulation hot loop without disturbing the model it observes.
 //!
 //! The counter is thread-local and gated by an explicit flag, so parallel
 //! test threads (and the libtest harness itself) cannot pollute the
@@ -16,6 +17,7 @@ use std::rc::Rc;
 
 use minic::{lower, parse as parse_c, share_interp, Interp, SharedInterp};
 use sctc_core::{esw, Proposition, Sctc};
+use sctc_sim::{Activation, Duration, Notify, ProcessContext, Simulation};
 use sctc_temporal::parse;
 
 thread_local! {
@@ -81,8 +83,8 @@ fn fresh_model() -> SharedInterp {
 /// The periodic stimulus: valuation writes on a fixed 8-sample cycle with
 /// clean stutter stretches in between. Because both the input and the
 /// monitor are finite-state, the warm phase drives the checker into its
-/// steady-state orbit; every stutter-table level, memo entry, and kernel
-/// row the measured window can touch has already been touched.
+/// steady-state orbit; every buffer the measured window can touch has
+/// already grown to its working size.
 const PERIOD: [Option<u64>; 8] = [
     Some(0b01),
     None,
@@ -147,6 +149,44 @@ fn warm_driven_engines_sample_without_allocating() {
         sctc.results()[0].verdict == sctc_temporal::Verdict::Pending,
         "stimulus must keep the property live"
     );
+}
+
+#[test]
+fn warm_kernel_loop_schedules_without_allocating() {
+    // The derived flow's per-statement pattern: the model delta-notifies
+    // its program-counter event every tick, the checker process is
+    // statically sensitive to it. A third process waits on the same
+    // event dynamically (the testbench's done/resume handshake).
+    let mut sim = Simulation::new();
+    let pc = sim.create_event("pc");
+    sim.spawn(
+        "model",
+        Box::new(move |ctx: &mut ProcessContext<'_>| {
+            ctx.notify(pc, Notify::Delta);
+            Activation::WaitTime(Duration::from_ticks(1))
+        }),
+    );
+    let listener = sim.spawn_deferred(
+        "listener",
+        Box::new(|_: &mut ProcessContext<'_>| Activation::WaitStatic),
+        vec![pc],
+    );
+    let waiter = sim.spawn(
+        "waiter",
+        Box::new(move |_: &mut ProcessContext<'_>| Activation::WaitEvent(pc)),
+    );
+
+    sim.run_for(Duration::from_ticks(64)).unwrap();
+    let before = sim.process_resume_count(listener);
+    let allocs = allocations_in(|| {
+        sim.run_for(Duration::from_ticks(256)).unwrap();
+    });
+    assert_eq!(
+        allocs, 0,
+        "allocated {allocs} times in 256 warm kernel ticks"
+    );
+    assert_eq!(sim.process_resume_count(listener) - before, 256);
+    assert!(sim.process_resume_count(waiter) > 256);
 }
 
 /// The audit instrument itself must see allocations, or a green zero above

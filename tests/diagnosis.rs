@@ -22,7 +22,7 @@ use esw_verify::c::{lower, parse as parse_c, share_interp, Interp, SharedInterp}
 use esw_verify::campaign::FlowKind;
 use esw_verify::faults::scenario::{run_scenario_observed, torn_write_ir, ScenarioObs};
 use esw_verify::faults::intact_property;
-use esw_verify::sctc::{esw, Proposition, Sctc, VcdValue, Witness, WitnessConfig};
+use esw_verify::sctc::{esw, PropertyResult, Proposition, Sctc, VcdValue, Witness, WitnessConfig};
 use esw_verify::temporal::{Formula, Monitor, TableMonitor, TraceMonitor, Verdict};
 use testkit::{Checker, Source};
 
@@ -108,6 +108,44 @@ fn project(props: &[String], valuation: u64) -> u64 {
     })
 }
 
+/// Drives `script` through a fresh checker with witness capture on and
+/// returns the observed valuation trace, the final results and the
+/// captured witnesses. `read_every_sample` queries the verdict after every
+/// sample (which flushes deferred stutter runs at once) instead of only at
+/// the end.
+fn observe(
+    f: &Formula,
+    script: &[Option<u64>],
+    read_every_sample: bool,
+) -> (Vec<u64>, Vec<PropertyResult>, Vec<Witness>) {
+    let model = fresh_model();
+    let mut sctc = Sctc::new();
+    sctc.enable_witnesses(WitnessConfig {
+        window: 256,
+        capture_true: true,
+    });
+    sctc.add_property("prop", f, bind_props(&model))
+        .expect("generated formula binds");
+    let mut valuation = 0u64;
+    let mut trace = Vec::with_capacity(script.len());
+    for step in script {
+        if let Some(v) = *step {
+            valuation = v;
+            let mut interp = model.borrow_mut();
+            for bit in 0..NPROPS {
+                interp.set_global_by_name(&format!("g{bit}"), i32::from(v & (1 << bit) != 0));
+            }
+        }
+        trace.push(valuation);
+        sctc.sample();
+        if read_every_sample {
+            sctc.results();
+        }
+    }
+    let results = sctc.results();
+    (trace, results, sctc.take_witnesses())
+}
+
 /// Replaying a witness against a fresh AR-automaton must reproduce the
 /// captured verdict at the captured sample index; so must replaying the
 /// whole observed trace one sample at a time through a fresh
@@ -119,32 +157,7 @@ fn captured_witnesses_replay_to_the_same_decision() {
         .run(
             |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
             |(f, script)| {
-                let model = fresh_model();
-                let mut sctc = Sctc::new();
-                sctc.enable_witnesses(WitnessConfig {
-                    window: 256,
-                    capture_true: true,
-                });
-                sctc.add_property("prop", f, bind_props(&model))
-                    .expect("generated formula binds");
-                let mut valuation = 0u64;
-                let mut trace = Vec::with_capacity(script.len());
-                for step in script {
-                    if let Some(v) = *step {
-                        valuation = v;
-                        let mut interp = model.borrow_mut();
-                        for bit in 0..NPROPS {
-                            interp.set_global_by_name(
-                                &format!("g{bit}"),
-                                i32::from(v & (1 << bit) != 0),
-                            );
-                        }
-                    }
-                    trace.push(valuation);
-                    sctc.sample();
-                }
-                let results = sctc.results();
-                let witnesses = sctc.take_witnesses();
+                let (trace, results, witnesses) = observe(f, script, false);
 
                 let mut table = TableMonitor::new(f).expect("synthesizable");
                 let mut progression = Monitor::new(f).expect("interns");
@@ -198,6 +211,50 @@ fn captured_witnesses_replay_to_the_same_decision() {
                     "replayed decision sample diverges for {f}"
                 );
             },
+        );
+}
+
+/// A verdict that first surfaces when a deferred stutter run is flushed
+/// must not drag the samples recorded after the decision into the
+/// witness: reading the verdict once at the end or after every sample
+/// yields the same witness, and a complete witness covers exactly the
+/// samples up to the deciding one.
+#[test]
+fn witness_ends_at_the_deciding_sample_however_the_verdict_is_read() {
+    let check = |f: &Formula, script: &[Option<u64>]| {
+        let (_, once, lazy) = observe(f, script, false);
+        let (_, every, eager) = observe(f, script, true);
+        let decision = |r: &[PropertyResult]| (r[0].verdict, r[0].decided_at);
+        assert_eq!(
+            decision(&once),
+            decision(&every),
+            "verdict depends on read cadence for {f}"
+        );
+        assert_eq!(lazy, eager, "witness depends on read cadence for {f}");
+        for w in &lazy {
+            if let (true, Some(d)) = (w.complete, w.decided_at) {
+                assert_eq!(
+                    w.total_samples(),
+                    d,
+                    "witness overruns its decision for {f}"
+                );
+            }
+        }
+    };
+    // `F[<=5] p0` with p0 never true decides false at sample 6, inside
+    // the stutter run that follows the first sample.
+    let f = Formula::finally(Some(5), Formula::prop("p0"));
+    let (_, results, witnesses) = observe(&f, &[None; 20], false);
+    assert_eq!(results[0].decided_at, Some(6));
+    assert_eq!(witnesses[0].total_samples(), 6);
+    assert!(witnesses[0].to_report().contains("samples 1..=6"));
+    check(&f, &[None; 20]);
+
+    Checker::new("witness_ends_at_the_deciding_sample_however_the_verdict_is_read")
+        .cases(80)
+        .run(
+            |src| (gen_formula(src, MAX_DEPTH), gen_trace(src)),
+            |(f, script)| check(f, script),
         );
 }
 

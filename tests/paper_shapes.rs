@@ -1,7 +1,10 @@
 //! Shape assertions for the paper's evaluation (Section 4): who finishes,
 //! who aborts, what trends hold — at laptop scale.
 
-use esw_verify::case_study::{run_derived_single, ExperimentConfig, Op};
+use std::time::{Duration, Instant};
+
+use esw_verify::baselines::bmc::{self, BmcConfig};
+use esw_verify::case_study::{build_ir, run_derived_single, ExperimentConfig, Op};
 use esw_verify::cpu::IsaKind;
 use sctc_bench::{fig7, spec_for, synthesis_stats_for_bound, Scale};
 
@@ -9,7 +12,7 @@ fn tiny_scale() -> Scale {
     Scale {
         micro_cases: 3,
         derived_cases: 30,
-        checker_budget: std::time::Duration::from_secs(5),
+        checker_budget: Duration::from_secs(5),
         seed: 1,
         jobs: 1,
     }
@@ -28,6 +31,34 @@ fn fig7_shape_blast_aborts_cbmc_unwinds() {
             "{}: the CBMC baseline must exhaust resources, got `{}`",
             row.op,
             row.cbmc_result
+        );
+    }
+}
+
+/// The BMC baseline gives up within its wall budget: the deadline reaches
+/// both the encoder and the SAT search. Read runs out while encoding,
+/// Prepare while solving.
+#[test]
+fn bmc_returns_within_its_wall_budget() {
+    let ir = build_ir();
+    for op in [Op::Read, Op::Prepare] {
+        let t0 = Instant::now();
+        let outcome = bmc::check(
+            &ir,
+            &spec_for(op),
+            BmcConfig {
+                wall_budget: Duration::from_secs(1),
+                max_conflicts: 500_000,
+                max_clauses: 3_000_000,
+                ..BmcConfig::default()
+            },
+        )
+        .expect("the EEE software is supported");
+        let wall = t0.elapsed();
+        assert!(outcome.is_resource_out(), "{op}: {outcome:?}");
+        assert!(
+            wall < Duration::from_millis(1500),
+            "{op}: a 1 s budget took {wall:?}"
         );
     }
 }
